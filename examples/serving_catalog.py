@@ -118,7 +118,9 @@ def main() -> None:
         )
         print(f"mixed batch served by {mixed.models}; "
               f"request 0 got items {mixed.for_request(0).tolist()}")
-        print(f"gateway request counts: {gateway.request_counts}")
+        models = gateway.metrics.snapshot()["models"]
+        served_rows = {name: model["rows_served"] for name, model in models.items()}
+        print(f"gateway rows served: {served_rows}")
         print()
 
         # 4. Hot-swap: republish 'mf' (atomic replace) and serve again.

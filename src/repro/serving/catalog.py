@@ -542,7 +542,7 @@ class ModelCatalog:
             # Stale bytes: retire the old resident; caller cold-starts.
             del self._residents[name]
             self.stats.reloads += 1
-            self.metrics.record_reload(name)
+            self.metrics.record(name, "reloads")
         return None
 
     def recommender(
@@ -607,7 +607,7 @@ class ModelCatalog:
         if resident is None:
             return False
         self.stats.evictions += 1
-        self.metrics.record_eviction(name)
+        self.metrics.record(name, "evictions")
         return True
 
     def evict_all(self) -> None:
@@ -647,7 +647,7 @@ class ModelCatalog:
             if name in self._residents:
                 del self._residents[name]
                 self.stats.reloads += 1
-                self.metrics.record_reload(name)
+                self.metrics.record(name, "reloads")
             return entry.version
 
     def _reread_entry(self, entry: CatalogEntry) -> ArtifactInfo:
@@ -669,7 +669,7 @@ class ModelCatalog:
             self._evict_locked(entry.name)
             self.entries.pop(entry.name, None)
             self.rejected[entry.path.name] = reason
-            self.metrics.record_error(entry.name)
+            self.metrics.record(entry.name, "errors")
             raise CatalogError(f"hot-swapped artifact is not servable: {reason}")
         return info
 
@@ -677,7 +677,7 @@ class ModelCatalog:
         """Drop a disappeared entry and raise (lock held)."""
         self._evict_locked(entry.name)
         self.entries.pop(entry.name, None)
-        self.metrics.record_error(entry.name)
+        self.metrics.record(entry.name, "errors")
         raise CatalogError(
             f"artifact file for {entry.name!r} disappeared: {entry.path} "
             f"(entry dropped; re-publish the artifact or rescan)"
@@ -757,7 +757,7 @@ class ModelCatalog:
             with self._lock:
                 self._evict_locked(name)
                 self.entries.pop(name, None)
-                self.metrics.record_error(name)
+                self.metrics.record(name, "errors")
                 if path.exists():
                     self.rejected[path.name] = f"{path}: {error}"
             if not path.exists():

@@ -17,8 +17,8 @@ site                      fires in                                 typical fault
 ``persist.read_header``   :func:`repro.persist.read_artifact_header`  transient ``OSError``
 ``catalog.cold_start``    :meth:`ModelCatalog._cold_start`, before    artifact read error,
                           the artifact bytes are loaded               slow-IO stall
-``gateway.score``         :meth:`ServingGateway.top_k` and the        stall (deadline
-                          grouped entry points, before scoring        pressure), error
+``gateway.score``         :meth:`ServingGateway._attempt`: every      stall (deadline
+                          top-k, score and fallback attempt           pressure), error
 ``worker.request``        ``_worker_main``, before a request is       stall, SIGKILL at a
                           handled inside a pool worker                chosen request
 ========================  =======================================  ==================

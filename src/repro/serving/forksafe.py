@@ -29,7 +29,7 @@ and never inherits serving state at all — see
 ``docs/ARCHITECTURE.md`` ("Multi-process serving").
 
 Usage — a class opts in by implementing the re-init hook and calling
-:func:`protect` on construction (all serving classes already do):
+:func:`protect` on construction (every serving class that owns a lock does):
 
 >>> import threading
 >>> from repro.serving import forksafe

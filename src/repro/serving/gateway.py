@@ -14,7 +14,12 @@ deployment needs beyond "give me model X":
   session state;
 * **mixed-model batching** — a batch whose rows target different models is
   grouped per model and each model computes *one* dense score block for
-  all of its rows, instead of one block per request.
+  all of its rows, instead of one block per request;
+* **one request path** — every request, with or without a
+  :class:`~repro.serving.resilience.ResiliencePolicy`, runs admission,
+  deadline, breaker gate, one attempt at the named model and then the
+  degraded fallback chain; without a policy there is simply no admission
+  control and no breaker.
 
 Example — route, split, and batch across two artifacts:
 
@@ -46,21 +51,18 @@ True
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..persist.errors import ArtifactError
-from . import forksafe
 from .catalog import CatalogError, ModelCatalog
 from .errors import (
     CircuitOpenError,
     DeadlineExceededError,
     OverloadedError,
-    ServingError,
     validate_user_ids,
 )
 from .faults import InjectedFaultError, fault_point
@@ -73,6 +75,7 @@ from .resilience import (
     Deadline,
     ResiliencePolicy,
     ResilienceState,
+    request_deadline,
 )
 from .topk import TopKResult
 
@@ -185,15 +188,23 @@ class ServingGateway:
     ``default_model`` answers requests that name no model; per-model
     recommenders (and their LRU residency) live in the catalog, so every
     gateway sharing a catalog shares warm models.  Thread-safe: requests
-    may arrive from any number of threads (the catalog serializes its own
-    state; the gateway's tallies sit behind a dedicated lock).
+    may arrive from any number of threads.  The gateway itself owns no
+    lock; the catalog, the metrics registry and the resilience state each
+    serialize their own.
 
-    Observability: ``request_counts`` tallies served rows per model (the
-    quick hook A/B analysis reads), and every request's row count and
-    latency land in :attr:`metrics` — a
-    :class:`~repro.serving.metrics.MetricsRegistry` shared with the
-    catalog by default, so one ``metrics.snapshot()`` covers routing,
-    latency percentiles, cold starts, reloads and evictions together.
+    Every request takes one path (:meth:`_serve`): admission, entry
+    deadline, breaker gate, one :meth:`_attempt` at the named model, then
+    the fallback chain (top-k) or a typed failure (raw scores).  Without
+    a :class:`~repro.serving.resilience.ResiliencePolicy` the same path
+    runs with no admission control and no breakers.
+
+    Observability: every request's row count and latency land in
+    :attr:`metrics` — a :class:`~repro.serving.metrics.MetricsRegistry`
+    shared with the catalog by default, so one ``metrics.snapshot()``
+    covers routing, latency percentiles, cold starts, reloads and
+    evictions together.  Per-model ``rows_served`` is the tally A/B
+    analysis reads.  ``request_latency`` times the score call alone, with
+    or without a policy; a cold start lands in ``cold_start_latency``.
     """
 
     def __init__(
@@ -209,8 +220,6 @@ class ServingGateway:
         self.catalog = catalog
         self.default_model = default_model
         self.metrics = metrics if metrics is not None else catalog.metrics
-        self.request_counts: Dict[str, int] = {}
-        self._counts_lock = threading.Lock()
         # ``record_deadline_metrics=False`` suppresses this gateway's own
         # ``deadline_exceeded`` counting (deadlines are still *enforced*).
         # The WorkerPool sets it for its worker-side gateways: the parent
@@ -218,17 +227,10 @@ class ServingGateway:
         # expires mid-serve inside a worker is counted exactly once
         # fleet-wide instead of once by the worker and once by the parent.
         self._record_deadline_metrics = record_deadline_metrics
-        # ``resilience`` is None without a policy: the request path then
-        # skips admission/breaker bookkeeping entirely (zero overhead),
-        # though explicit per-request deadlines still work.
-        self.resilience: Optional[ResilienceState] = (
-            ResilienceState(policy) if policy is not None else None
-        )
-        forksafe.protect(self)
-
-    def _reinit_after_fork_in_child(self) -> None:
-        """Replace the lock a fork may have copied in a held state (child only)."""
-        self._counts_lock = threading.Lock()
+        self._policy = policy
+        # ``resilience`` is None without a policy: requests then skip
+        # admission and breakers, though deadlines still work.
+        self.resilience = ResilienceState(policy) if policy is not None else None
 
     def _resolve(self, model: Optional[str]) -> str:
         if model is not None:
@@ -240,34 +242,19 @@ class ServingGateway:
             )
         return self.default_model
 
-    def _count(self, model: str, rows: int, seconds: float) -> None:
-        with self._counts_lock:
-            self.request_counts[model] = self.request_counts.get(model, 0) + rows
-        self.metrics.record_request(model, rows, seconds)
-
     # ------------------------------------------------------------------
     # Resilience plumbing
     # ------------------------------------------------------------------
-    def _request_deadline(self, deadline) -> Optional[Deadline]:
-        """Normalize the per-request deadline, applying the policy default."""
-        if deadline is not None:
-            return Deadline.coerce(deadline)
-        if self.resilience is not None and self.resilience.policy.deadline_seconds is not None:
-            return Deadline.after(self.resilience.policy.deadline_seconds)
-        return None
-
     def _count_deadline(self, name: str) -> None:
         """Record a deadline expiry — unless the pool parent owns the counter."""
         if self._record_deadline_metrics:
-            self.metrics.record_deadline_exceeded(name)
+            self.metrics.record(name, "deadline_exceeded")
 
     def _check_deadline(self, name: str, deadline: Optional[Deadline], where: str) -> None:
         """Typed, *counted* deadline enforcement at a request milestone."""
         if deadline is not None and deadline.expired:
             self._count_deadline(name)
-            raise DeadlineExceededError(
-                f"deadline exceeded {where} for model {name!r}"
-            )
+            raise DeadlineExceededError(f"deadline exceeded {where} for model {name!r}")
 
     def _admit(self, name: str) -> Callable[[], None]:
         """Admission-control gate; a shed is counted before it raises."""
@@ -276,21 +263,8 @@ class ServingGateway:
         try:
             return self.resilience.admission.acquire(name)
         except OverloadedError:
-            self.metrics.record_shed(name)
+            self.metrics.record(name, "sheds")
             raise
-
-    # A claimed half-open probe owes its breaker a verdict on *every* exit
-    # path, or the breaker wedges half-open and the model stays offline
-    # until the breaker's own leak backstop fires (resilience module).
-    def _fail_probe(self, breaker: Optional[CircuitBreaker], probing: bool, name: str) -> None:
-        """The probe hit its deadline: the model is still too slow — a failed probe."""
-        if probing and breaker is not None and breaker.record_failure():
-            self.metrics.record_breaker_open(name)
-
-    def _release_probe(self, breaker: Optional[CircuitBreaker], probing: bool) -> None:
-        """The probe ended for a model-unrelated reason: hand the slot back."""
-        if probing and breaker is not None:
-            breaker.release_probe()
 
     def _entry_version(self, name: str) -> int:
         try:
@@ -332,7 +306,7 @@ class ServingGateway:
         """
         name = self._resolve(model)
         users = validate_user_ids(users, self.catalog.num_users, model=name)
-        return self._serve_top_k(name, users, k, self._request_deadline(deadline))
+        return self._serve_top_k(name, users, k, request_deadline(deadline, self._policy))
 
     def scores(
         self,
@@ -351,160 +325,163 @@ class ServingGateway:
         """
         name = self._resolve(model)
         users = validate_user_ids(users, self.catalog.num_users, model=name)
-        deadline = self._request_deadline(deadline)
+        deadline = request_deadline(deadline, self._policy)
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        if self.resilience is None and deadline is None:
-            started = time.perf_counter()
-            block = self.catalog.store(name).scores(users, item_ids)
-            self._count(name, int(users.size), time.perf_counter() - started)
-            return block
+        return self._serve(
+            name, int(users.size), deadline, self.catalog.store,
+            lambda store: store.scores(users, item_ids), fallback=False,
+        )
+
+    def _serve_top_k(
+        self, name: str, users: np.ndarray, k: Optional[int], deadline: Optional[Deadline]
+    ) -> TopKResult:
+        return self._serve(
+            name, int(users.size), deadline, self.catalog.recommender,
+            lambda recommender: recommender.recommend(users, k=k), fallback=True,
+        )
+
+    def _serve(
+        self,
+        name: str,
+        rows: int,
+        deadline: Optional[Deadline],
+        acquire: Callable,
+        serve: Callable,
+        fallback: bool,
+    ):
+        """One request for model ``name``: the gateway's single request path.
+
+        Order of defenses: admission (shed fast) → deadline at entry →
+        breaker gate → primary :meth:`_attempt` → on a model fault or an
+        open breaker, the fallback chain when ``fallback`` (top-k lists)
+        or a typed failure (raw score blocks).  Without a policy there is
+        no breaker, so a model fault is counted and re-raised.  A request
+        that finishes *after* its deadline still fails typed — "result or
+        typed error within the deadline" is the invariant the chaos suite
+        asserts, with no silent late answers.
+        """
         release = self._admit(name)
         try:
             self._check_deadline(name, deadline, "at gateway entry")
             breaker = self.resilience.breaker(name) if self.resilience is not None else None
             verdict = breaker.admit() if breaker is not None else ADMIT_ALLOW
-            probing = verdict == ADMIT_PROBE
-            if verdict == ADMIT_REJECT:
-                self.metrics.record_error(name)
-                raise CircuitOpenError(
-                    f"breaker for model {name!r} is {breaker.state} and raw score "
-                    f"blocks have no fallback chain"
-                )
-            try:
-                fault_point("gateway.score", name)
-                store = self.catalog.store(name, deadline)
-                started = time.perf_counter()
-                block = store.scores(users, item_ids)
-                seconds = time.perf_counter() - started
-            except DeadlineExceededError:
-                self._fail_probe(breaker, probing, name)
-                self._count_deadline(name)
-                raise
-            except ServingError:
-                self._release_probe(breaker, probing)
-                raise
-            except _MODEL_FAULTS:
-                if breaker is not None and breaker.record_failure():
-                    self.metrics.record_breaker_open(name)
-                self.metrics.record_error(name)
-                raise
-            except BaseException:
-                self._release_probe(breaker, probing)
-                raise
-            if breaker is not None:
-                breaker.record_success()
-            self._check_deadline(name, deadline, "after scoring")
-            self._count(name, int(users.size), seconds)
-            return block
-        finally:
-            release()
-
-    def _serve_top_k(
-        self, name: str, users: np.ndarray, k: Optional[int], deadline: Optional[Deadline]
-    ) -> TopKResult:
-        """One model's top-k serve under the full resilience flow.
-
-        Order of defenses: admission (shed fast) → deadline at entry →
-        breaker gate → primary serve (cold start honors the deadline) →
-        on model fault or open breaker, the fallback chain.  A request
-        that finishes *after* its deadline still fails typed — "result or
-        typed error within the deadline" is the invariant the chaos suite
-        asserts, with no silent late answers.
-        """
-        if self.resilience is None and deadline is None:
-            started = time.perf_counter()
-            result = self.catalog.recommender(name).recommend(users, k=k)
-            self._count(name, int(users.size), time.perf_counter() - started)
-            return result
-        state = self.resilience
-        release = self._admit(name)
-        try:
-            self._check_deadline(name, deadline, "at gateway entry")
-            breaker = state.breaker(name) if state is not None else None
-            verdict = breaker.admit() if breaker is not None else ADMIT_ALLOW
-            probing = verdict == ADMIT_PROBE
             primary_error: Optional[BaseException] = None
             if verdict != ADMIT_REJECT:
                 try:
-                    fault_point("gateway.score", name)
-                    recommender = self.catalog.recommender(name, deadline=deadline)
-                    started = time.perf_counter()
-                    result = recommender.recommend(users, k=k)
-                    seconds = time.perf_counter() - started
-                except DeadlineExceededError:
-                    # A probe that cannot finish inside the deadline is the
-                    # very slowness that opened the breaker: a failed probe.
-                    self._fail_probe(breaker, probing, name)
-                    self._count_deadline(name)
-                    raise
-                except ServingError:
-                    self._release_probe(breaker, probing)
-                    raise
+                    model, result, seconds = self._attempt(
+                        name, name, breaker, verdict == ADMIT_PROBE, deadline, acquire, serve
+                    )
                 except _MODEL_FAULTS as error:
-                    if breaker is None:
-                        self.metrics.record_error(name)
+                    if breaker is None or not fallback:
+                        self.metrics.record(name, "errors")
                         raise
-                    if breaker.record_failure():
-                        self.metrics.record_breaker_open(name)
                     primary_error = error
-                except BaseException:
-                    self._release_probe(breaker, probing)
-                    raise
                 else:
-                    if breaker is not None:
-                        # The model is healthy even if the request is late:
-                        # close the loop before any deadline enforcement.
-                        breaker.record_success()
-                        state.remember_last_good(name, self._entry_version(name), recommender)
+                    if fallback and breaker is not None:
+                        self.resilience.remember_last_good(name, self._entry_version(name), model)
                     self._check_deadline(name, deadline, "after scoring")
-                    self._count(name, int(users.size), seconds)
+                    self.metrics.record_request(name, rows, seconds)
                     return result
-            assert state is not None  # breaker gate only exists with resilience on
-            return self._serve_top_k_fallback(name, users, k, deadline, primary_error)
+            if fallback:
+                return self._fallback(name, rows, deadline, serve, primary_error)
+            self.metrics.record(name, "errors")
+            raise CircuitOpenError(
+                f"breaker for model {name!r} is {breaker.state} and raw score "
+                f"blocks have no fallback chain"
+            )
         finally:
             release()
 
-    def _serve_top_k_fallback(
+    def _attempt(
+        self,
+        requested: str,
+        target: str,
+        breaker: Optional[CircuitBreaker],
+        probing: bool,
+        deadline: Optional[Deadline],
+        acquire: Callable,
+        serve: Callable,
+    ) -> Tuple[object, object, float]:
+        """Try model ``target`` once for a request naming ``requested``.
+
+        Fires the ``gateway.score`` fault hook, gets the model from the
+        catalog with ``acquire`` (a cold start honors ``deadline``) and
+        times only ``serve(model)``; returns ``(model, result, seconds)``.
+        A claimed half-open probe (``probing``) owes its breaker a verdict
+        on *every* exit, or the breaker wedges half-open until its own leak
+        backstop fires (resilience module):
+
+        * a deadline miss is a failed probe — the very slowness that
+          opened the breaker — and counts against ``requested``;
+        * a model fault charges the breaker and is re-raised;
+        * any other exception (client error, interrupt) hands the probe
+          slot back;
+        * success closes the loop before any deadline enforcement: the
+          model is healthy even if the request is late.
+        """
+        try:
+            fault_point("gateway.score", target)
+            model = acquire(target, deadline=deadline)
+            started = time.perf_counter()
+            result = serve(model)
+            seconds = time.perf_counter() - started
+        except DeadlineExceededError:
+            if probing and breaker.record_failure():
+                self.metrics.record(target, "breaker_opens")
+            self._count_deadline(requested)
+            raise
+        except _MODEL_FAULTS:
+            if breaker is not None and breaker.record_failure():
+                self.metrics.record(target, "breaker_opens")
+            raise
+        except BaseException:
+            if probing:
+                breaker.release_probe()
+            raise
+        if breaker is not None:
+            breaker.record_success()
+        return model, result, seconds
+
+    def _fallback(
         self,
         name: str,
-        users: np.ndarray,
-        k: Optional[int],
+        rows: int,
         deadline: Optional[Deadline],
+        serve: Callable,
         primary_error: Optional[BaseException],
     ) -> TopKResult:
         """The degraded chain: last-good resident version, then cheap models.
 
-        Every fallback serve is recorded against the *primary* model
-        (``record_fallback``) — the model that needed rescuing — while
-        rows and latency land on the model that actually served.  A
-        fallback model's serve also books that model's *per-model*
-        admission share (the total-budget slot is already held under the
-        primary), so ``max_inflight_per_model`` meters the fallback's
-        real concurrency during an outage; a fallback whose own budget is
-        full is skipped, not shed.  When the chain is exhausted the
-        request fails with a typed
-        :class:`~repro.serving.errors.CircuitOpenError` naming everything
-        that was tried, chained to the primary failure.
+        Every fallback serve is counted against the *primary* model
+        (``fallbacks_served``) — the model that needed rescuing — while
+        rows and latency land on the model that actually served.  The
+        stale serve fires no fault hook and meets no breaker.  A fallback
+        model is one more :meth:`_attempt` behind its own breaker, and it
+        books that model's *per-model* admission share (the total-budget
+        slot is already held under the primary), so
+        ``max_inflight_per_model`` meters the fallback's real concurrency
+        during an outage; a fallback whose own budget is full is skipped,
+        not shed.  When the chain is exhausted the request fails with a
+        typed :class:`~repro.serving.errors.CircuitOpenError` naming
+        everything that was tried, chained to the primary failure.
         """
         state = self.resilience
-        assert state is not None
         tried: List[str] = []
-        if state.policy.serve_stale_on_failure:
-            stale = state.last_good(name)
-            if stale is not None:
-                version, recommender = stale
-                label = f"last-good {name!r} v{version}"
-                try:
-                    started = time.perf_counter()
-                    result = recommender.recommend(users, k=k)
-                    seconds = time.perf_counter() - started
-                except Exception as error:  # noqa: BLE001 — fall through the chain
-                    tried.append(f"{label} (failed: {error})")
-                else:
-                    self.metrics.record_fallback(name)
-                    self._check_deadline(name, deadline, f"after {label}")
-                    self._count(name, int(users.size), seconds)
-                    return result
+        stale = state.last_good(name) if state.policy.serve_stale_on_failure else None
+        if stale is not None:
+            version, recommender = stale
+            label = f"last-good {name!r} v{version}"
+            try:
+                started = time.perf_counter()
+                result = serve(recommender)
+                seconds = time.perf_counter() - started
+            except Exception as error:  # noqa: BLE001 — fall through the chain
+                tried.append(f"{label} (failed: {error})")
+            else:
+                self.metrics.record(name, "fallbacks_served")
+                self._check_deadline(name, deadline, f"after {label}")
+                self.metrics.record_request(name, rows, seconds)
+                return result
         for fallback_name in state.policy.fallback_models:
             if fallback_name == name:
                 continue
@@ -516,43 +493,27 @@ class ServingGateway:
                 continue
             probing = verdict == ADMIT_PROBE
             try:
-                release_fallback = state.admission.acquire(fallback_name, count_total=False)
+                release = state.admission.acquire(fallback_name, count_total=False)
             except OverloadedError:
-                self._release_probe(breaker, probing)
+                if probing:
+                    breaker.release_probe()
                 tried.append(f"{label} (per-model budget full)")
                 continue
             try:
-                fault_point("gateway.score", fallback_name)
-                recommender = self.catalog.recommender(fallback_name, deadline=deadline)
-                started = time.perf_counter()
-                result = recommender.recommend(users, k=k)
-                seconds = time.perf_counter() - started
-            except DeadlineExceededError:
-                self._fail_probe(breaker, probing, fallback_name)
-                self._count_deadline(name)
-                raise
-            except ServingError:
-                self._release_probe(breaker, probing)
-                raise
-            except _MODEL_FAULTS as error:
-                if breaker.record_failure():
-                    self.metrics.record_breaker_open(fallback_name)
-                tried.append(f"{label} (failed: {error})")
-            except BaseException:
-                self._release_probe(breaker, probing)
-                raise
-            else:
-                breaker.record_success()
-                state.remember_last_good(
-                    fallback_name, self._entry_version(fallback_name), recommender
+                model, result, seconds = self._attempt(
+                    name, fallback_name, breaker, probing, deadline, self.catalog.recommender, serve
                 )
-                self.metrics.record_fallback(name)
+            except _MODEL_FAULTS as error:
+                tried.append(f"{label} (failed: {error})")
+            else:
+                state.remember_last_good(fallback_name, self._entry_version(fallback_name), model)
+                self.metrics.record(name, "fallbacks_served")
                 self._check_deadline(name, deadline, f"after {label}")
-                self._count(fallback_name, int(users.size), seconds)
+                self.metrics.record_request(fallback_name, rows, seconds)
                 return result
             finally:
-                release_fallback()
-        self.metrics.record_error(name)
+                release()
+        self.metrics.record(name, "errors")
         detail = "; tried " + ", ".join(tried) if tried else "; no fallbacks configured"
         raise CircuitOpenError(
             f"model {name!r} unavailable (breaker {state.breaker(name).state}){detail}"
@@ -566,10 +527,8 @@ class ServingGateway:
     ) -> GatewayResult:
         """A/B-serve ``users``: assign each to a variant, score grouped per model."""
         users = np.asarray(users, dtype=np.int64)
-        assignments = split.assign(users)
-        return self._grouped_top_k(
-            users, [str(name) for name in assignments], k, self._request_deadline(deadline)
-        )
+        models = [str(name) for name in split.assign(users)]
+        return self._grouped_top_k(users, models, k, request_deadline(deadline, self._policy))
 
     def top_k_mixed(
         self, requests: Sequence[Tuple[str, int]], k: Optional[int] = None, deadline=None
@@ -584,7 +543,7 @@ class ServingGateway:
             raise ValueError("top_k_mixed needs at least one (model, user) request")
         models = [name for name, _ in requests]
         users = np.asarray([user for _, user in requests], dtype=np.int64)
-        return self._grouped_top_k(users, models, k, self._request_deadline(deadline))
+        return self._grouped_top_k(users, models, k, request_deadline(deadline, self._policy))
 
     def _grouped_top_k(
         self,
@@ -644,5 +603,5 @@ class ServingGateway:
     def __repr__(self) -> str:
         return (
             f"ServingGateway(default={self.default_model!r}, "
-            f"models={self.catalog.names}, served={self.request_counts})"
+            f"models={self.catalog.names}, resilience={self.resilience is not None})"
         )

@@ -599,13 +599,13 @@ class ReplayHarness:
             self.target.top_k(users, k=self.k, model=model, deadline=deadline)
         except OverloadedError:
             self.failure_metrics.record_request(phase, 1, time.perf_counter() - began)
-            self.metrics.record_shed(phase)
+            self.metrics.record(phase, "sheds")
         except DeadlineExceededError:
             self.failure_metrics.record_request(phase, 1, time.perf_counter() - began)
-            self.metrics.record_deadline_exceeded(phase)
+            self.metrics.record(phase, "deadline_exceeded")
         except Exception:  # noqa: BLE001 — replay must survive any target fault
             self.failure_metrics.record_request(phase, 1, time.perf_counter() - began)
-            self.metrics.record_error(phase)
+            self.metrics.record(phase, "errors")
         else:
             self.metrics.record_request(phase, 1, time.perf_counter() - began)
 

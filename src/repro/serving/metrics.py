@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-__all__ = ["LatencyHistogram", "ModelMetrics", "MetricsRegistry"]
+__all__ = ["COUNTERS", "LatencyHistogram", "ModelMetrics", "MetricsRegistry"]
 
 
 def _log_spaced_bounds(lo: float = 1e-6, hi: float = 64.0, per_decade: int = 20) -> List[float]:
@@ -202,54 +202,43 @@ class LatencyHistogram:
         return self
 
 
-class ModelMetrics:
-    """One model's counters and latency histograms (see :class:`MetricsRegistry`)."""
+#: Every per-model counter, in snapshot order.  One table drives
+#: :class:`ModelMetrics`, :meth:`MetricsRegistry.record`, the snapshot
+#: ``totals`` and :meth:`MetricsRegistry.merge_snapshots`.  The resilience
+#: outcomes (``sheds`` … ``fallbacks_served``, see
+#: :mod:`repro.serving.resilience`) count every deliberate fast-failure and
+#: every degraded serve, so they reconcile exactly with the requests a
+#: chaos run submitted — nothing fails silently.
+COUNTERS: Tuple[str, ...] = (
+    "requests",
+    "rows_served",
+    "cold_starts",
+    "reloads",
+    "evictions",
+    "errors",
+    "sheds",
+    "deadline_exceeded",
+    "breaker_opens",
+    "fallbacks_served",
+)
 
-    __slots__ = (
-        "requests",
-        "rows_served",
-        "cold_starts",
-        "reloads",
-        "evictions",
-        "errors",
-        "sheds",
-        "deadline_exceeded",
-        "breaker_opens",
-        "fallbacks_served",
-        "request_latency",
-        "cold_start_latency",
-    )
+# Per-model latency histograms, in snapshot order.
+_HISTOGRAMS: Tuple[str, ...] = ("request_latency", "cold_start_latency")
+
+
+class ModelMetrics:
+    """One model's :data:`COUNTERS` and latency histograms (see :class:`MetricsRegistry`)."""
+
+    __slots__ = ("counts", "request_latency", "cold_start_latency")
 
     def __init__(self) -> None:
-        self.requests = 0
-        self.rows_served = 0
-        self.cold_starts = 0
-        self.reloads = 0
-        self.evictions = 0
-        self.errors = 0
-        # Resilience-layer outcomes (see repro.serving.resilience): every
-        # deliberate fast-failure and every degraded serve is counted here,
-        # so shed/deadline/breaker/fallback tallies reconcile exactly with
-        # the requests a chaos run submitted — nothing fails silently.
-        self.sheds = 0
-        self.deadline_exceeded = 0
-        self.breaker_opens = 0
-        self.fallbacks_served = 0
+        self.counts: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         self.request_latency = LatencyHistogram()
         self.cold_start_latency = LatencyHistogram()
 
     def snapshot(self) -> Dict[str, object]:
         return {
-            "requests": self.requests,
-            "rows_served": self.rows_served,
-            "cold_starts": self.cold_starts,
-            "reloads": self.reloads,
-            "evictions": self.evictions,
-            "errors": self.errors,
-            "sheds": self.sheds,
-            "deadline_exceeded": self.deadline_exceeded,
-            "breaker_opens": self.breaker_opens,
-            "fallbacks_served": self.fallbacks_served,
+            **self.counts,
             "request_latency": self.request_latency.snapshot(),
             "cold_start_latency": self.cold_start_latency.snapshot(),
         }
@@ -260,9 +249,11 @@ class MetricsRegistry:
 
     One registry serves one catalog/gateway pair (the catalog creates its
     own by default and the gateway records into the catalog's).  All
-    mutation goes through the ``record_*`` methods, each a single short
-    critical section; :meth:`snapshot` returns a JSON-ready nested dict
-    and never exposes internal state.
+    mutation goes through :meth:`record_request`, :meth:`record_cold_start`
+    (both also feed a latency histogram) and :meth:`record` (every other
+    counter in :data:`COUNTERS`), each a single short critical section;
+    :meth:`snapshot` returns a JSON-ready nested dict and never exposes
+    internal state.
 
     ``enabled=False`` turns every record call into an immediate return —
     a measurable no-op for overhead comparisons.
@@ -298,8 +289,8 @@ class MetricsRegistry:
             return
         with self._lock:
             metrics = self._model(name)
-            metrics.requests += 1
-            metrics.rows_served += rows
+            metrics.counts["requests"] += 1
+            metrics.counts["rows_served"] += rows
             metrics.request_latency.record(seconds)
 
     def record_cold_start(self, name: str, seconds: float) -> None:
@@ -307,54 +298,24 @@ class MetricsRegistry:
             return
         with self._lock:
             metrics = self._model(name)
-            metrics.cold_starts += 1
+            metrics.counts["cold_starts"] += 1
             metrics.cold_start_latency.record(seconds)
 
-    def record_reload(self, name: str) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            self._model(name).reloads += 1
+    def record(self, name: str, counter: str) -> None:
+        """Add one to model ``name``'s ``counter`` (one of :data:`COUNTERS`).
 
-    def record_eviction(self, name: str) -> None:
+        The counter-only events: ``reloads`` and ``evictions`` (catalog),
+        ``errors``, ``sheds``, ``deadline_exceeded``, ``breaker_opens``
+        (counted against the model whose breaker tripped) and
+        ``fallbacks_served`` (counted against the model that needed
+        rescuing).  An unknown counter raises ``ValueError``.
+        """
         if not self.enabled:
             return
+        if counter not in COUNTERS:
+            raise ValueError(f"unknown counter {counter!r}; expected one of {COUNTERS}")
         with self._lock:
-            self._model(name).evictions += 1
-
-    def record_error(self, name: str) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            self._model(name).errors += 1
-
-    def record_shed(self, name: str) -> None:
-        """A request for ``name`` was shed by admission control (OverloadedError)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._model(name).sheds += 1
-
-    def record_deadline_exceeded(self, name: str) -> None:
-        """A request for ``name`` failed its deadline (DeadlineExceededError)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._model(name).deadline_exceeded += 1
-
-    def record_breaker_open(self, name: str) -> None:
-        """``name``'s circuit breaker transitioned to open (once per trip)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._model(name).breaker_opens += 1
-
-    def record_fallback(self, name: str) -> None:
-        """A request *targeting* ``name`` was served degraded (stale or fallback model)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._model(name).fallbacks_served += 1
+            self._model(name).counts[counter] += 1
 
     # ------------------------------------------------------------------
     # Export
@@ -363,24 +324,8 @@ class MetricsRegistry:
         """The whole registry as a plain nested dict (JSON-serializable)."""
         with self._lock:
             models = {name: metrics.snapshot() for name, metrics in self._models.items()}
-        totals = {
-            key: sum(m[key] for m in models.values()) for key in self._COUNTER_KEYS
-        }
+        totals = {key: sum(m[key] for m in models.values()) for key in COUNTERS}
         return {"enabled": self.enabled, "models": models, "totals": totals}
-
-    _COUNTER_KEYS = (
-        "requests",
-        "rows_served",
-        "cold_starts",
-        "reloads",
-        "evictions",
-        "errors",
-        "sheds",
-        "deadline_exceeded",
-        "breaker_opens",
-        "fallbacks_served",
-    )
-    _LATENCY_KEYS = ("request_latency", "cold_start_latency")
 
     @staticmethod
     def merge_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[str, object]:
@@ -396,8 +341,9 @@ class MetricsRegistry:
         shape as :meth:`snapshot` plus a ``workers`` count, and its
         ``totals`` section gains fleet-wide ``request_latency`` /
         ``cold_start_latency`` histograms (a single-process snapshot keeps
-        latency per model only).  Snapshots lacking raw bucket counts
-        raise ``ValueError``.
+        latency per model only).  The snapshots come from other processes,
+        so they are checked: a model entry without a histogram, or a
+        histogram without raw bucket counts, raises ``ValueError``.
 
         >>> a, b = MetricsRegistry(), MetricsRegistry()
         >>> a.record_request("gbgcn", rows=10, seconds=0.001)
@@ -411,25 +357,29 @@ class MetricsRegistry:
         True
         """
         snapshots = list(snapshots)
-        counter_keys = MetricsRegistry._COUNTER_KEYS
-        latency_keys = MetricsRegistry._LATENCY_KEYS
         merged: Dict[str, Dict[str, object]] = {}
         histograms: Dict[Tuple[str, str], LatencyHistogram] = {}
         for snap in snapshots:
             for name, model in dict(snap.get("models", {})).items():
-                out = merged.setdefault(name, {key: 0 for key in counter_keys})
-                for key in counter_keys:
+                out = merged.setdefault(name, dict.fromkeys(COUNTERS, 0))
+                for key in COUNTERS:
                     out[key] += int(model.get(key, 0))
-                for key in latency_keys:
-                    histograms.setdefault((name, key), LatencyHistogram()).merge(model[key])
-        fleet = {key: LatencyHistogram() for key in latency_keys}
+                for key in _HISTOGRAMS:
+                    histogram = model.get(key)
+                    if not isinstance(histogram, Mapping):
+                        raise ValueError(
+                            f"snapshot of model {name!r} has no {key!r} histogram; "
+                            f"only snapshots carrying raw bucket counts can be merged"
+                        )
+                    histograms.setdefault((name, key), LatencyHistogram()).merge(histogram)
+        fleet = {key: LatencyHistogram() for key in _HISTOGRAMS}
         for (name, key), histogram in histograms.items():
             merged[name][key] = histogram.snapshot()
             fleet[key].merge(histogram)
         totals: Dict[str, object] = {
-            key: sum(int(model[key]) for model in merged.values()) for key in counter_keys
+            key: sum(model[key] for model in merged.values()) for key in COUNTERS
         }
-        for key in latency_keys:
+        for key in _HISTOGRAMS:
             totals[key] = fleet[key].snapshot()
         return {
             "enabled": any(bool(snap.get("enabled")) for snap in snapshots),

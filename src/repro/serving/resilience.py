@@ -66,6 +66,7 @@ __all__ = [
     "CircuitBreaker",
     "ResiliencePolicy",
     "ResilienceState",
+    "request_deadline",
     "ADMIT_ALLOW",
     "ADMIT_PROBE",
     "ADMIT_REJECT",
@@ -477,6 +478,21 @@ class ResiliencePolicy:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0.0:
             raise ValueError(f"deadline_seconds must be positive, got {self.deadline_seconds}")
         object.__setattr__(self, "fallback_models", tuple(self.fallback_models))
+
+
+def request_deadline(deadline, policy: Optional[ResiliencePolicy]) -> Optional[Deadline]:
+    """A request's :class:`Deadline`: its own ``deadline``, else ``policy``'s default.
+
+    ``deadline`` is whatever the caller passed (None, seconds, or a
+    :class:`Deadline`); without one, ``policy.deadline_seconds`` (when
+    set) starts a fresh budget now.  The gateway and the worker pool both
+    normalize their entry points' ``deadline`` argument here.
+    """
+    if deadline is not None:
+        return Deadline.coerce(deadline)
+    if policy is not None and policy.deadline_seconds is not None:
+        return Deadline.after(policy.deadline_seconds)
+    return None
 
 
 class ResilienceState:

@@ -95,7 +95,7 @@ from . import forksafe
 from .errors import DeadlineExceededError, OverloadedError
 from .faults import FaultPlan
 from .metrics import MetricsRegistry
-from .resilience import Deadline, ResiliencePolicy
+from .resilience import Deadline, ResiliencePolicy, request_deadline
 from .topk import TopKResult
 
 __all__ = ["WorkerPool", "WorkerPoolError", "WorkerCrashError"]
@@ -175,8 +175,8 @@ def _worker_main(index: int, config: _WorkerConfig, request_queue, reply_queue) 
             # crash respawn must cope).
             fault_point("worker.request", kind)
             if kind == "top_k":
-                users, k, model, request_deadline = payload
-                if request_deadline is not None and request_deadline.expired:
+                users, k, model, deadline = payload
+                if deadline is not None and deadline.expired:
                     # The parent has abandoned (or is about to abandon)
                     # this request; reply typed without the cost of a
                     # pointless serve.  The parent owns the deadline
@@ -187,9 +187,7 @@ def _worker_main(index: int, config: _WorkerConfig, request_queue, reply_queue) 
                 if config.simulate_io_seconds > 0.0:
                     # Emulated downstream stall (see module docstring).
                     time.sleep(config.simulate_io_seconds)
-                result = gateway.top_k(
-                    np.asarray(users), k=k, model=model, deadline=request_deadline
-                )
+                result = gateway.top_k(np.asarray(users), k=k, model=model, deadline=deadline)
                 reply_queue.put(("result", rid, result))
             elif kind == "metrics":
                 reply_queue.put(("metrics", rid, gateway.metrics.snapshot()))
@@ -490,19 +488,10 @@ class WorkerPool:
         """The metrics key parent-side outcomes are recorded under."""
         return model or self._config.default_model or "_pool_"
 
-    def _request_deadline(self, deadline) -> Optional[Deadline]:
-        """Normalize the deadline argument, applying the policy default."""
-        if deadline is not None:
-            return Deadline.coerce(deadline)
-        policy = self._config.policy
-        if policy is not None and policy.deadline_seconds is not None:
-            return Deadline.after(policy.deadline_seconds)
-        return None
-
     def _submit(self, kind: str, payload: Any) -> int:
         if self.max_inflight is not None and len(self._outstanding) >= self.max_inflight:
             label = self._model_label(payload[2] if kind == "top_k" else None)
-            self.metrics.record_shed(label)
+            self.metrics.record(label, "sheds")
             raise OverloadedError(
                 f"overloaded: {len(self._outstanding)} requests outstanding >= pool "
                 f"budget {self.max_inflight}; request for {label!r} shed"
@@ -581,7 +570,7 @@ class WorkerPool:
                 self._outstanding.pop(rid, None)  # late reply → dropped by id
                 self._replies.pop(rid, None)  # a stashed reply is late now too
                 if label is not None:
-                    self.metrics.record_deadline_exceeded(label)
+                    self.metrics.record(label, "deadline_exceeded")
                 raise DeadlineExceededError(
                     f"deadline exceeded waiting for the worker reply to request {rid} "
                     f"({self.alive_workers}/{len(self._handles)} workers alive)"
@@ -594,7 +583,7 @@ class WorkerPool:
                     continue
                 if kind == "error":
                     if label is not None and isinstance(payload, DeadlineExceededError):
-                        self.metrics.record_deadline_exceeded(label)
+                        self.metrics.record(label, "deadline_exceeded")
                     raise payload
                 return payload
             remaining = timeout_at - time.monotonic()
@@ -621,11 +610,6 @@ class WorkerPool:
                     raise WorkerPoolError(f"respawned worker {tag} failed to initialize:\n{payload}")
                 # "ready"/"stopped" lifecycle messages are not per-request; drop.
 
-    def _collect_value(
-        self, rid: int, deadline: Optional[Deadline] = None, label: Optional[str] = None
-    ) -> Any:
-        return self._collect(rid, deadline=deadline, label=label)
-
     # ------------------------------------------------------------------
     # Serving API
     # ------------------------------------------------------------------
@@ -651,9 +635,9 @@ class WorkerPool:
         """
         with self._api_lock:
             self._require_running()
-            deadline = self._request_deadline(deadline)
+            deadline = request_deadline(deadline, self._config.policy)
             rid = self._submit("top_k", (np.asarray(users), k, model, deadline))
-            return self._collect_value(rid, deadline=deadline, label=self._model_label(model))
+            return self._collect(rid, deadline=deadline, label=self._model_label(model))
 
     def top_k_many(
         self,
@@ -673,7 +657,7 @@ class WorkerPool:
         """
         with self._api_lock:
             self._require_running()
-            deadline = self._request_deadline(deadline)
+            deadline = request_deadline(deadline, self._config.policy)
             label = self._model_label(model)
             results: List[Any] = []
             first_error: Optional[BaseException] = None
@@ -690,7 +674,7 @@ class WorkerPool:
                     results.append(None)
                     continue
                 try:
-                    results.append(self._collect_value(rid, deadline=deadline, label=label))
+                    results.append(self._collect(rid, deadline=deadline, label=label))
                 except Exception as error:  # collect the rest before raising
                     if first_error is None:
                         first_error = error
@@ -707,7 +691,7 @@ class WorkerPool:
         with self._api_lock:
             self._require_running()
             rids = [self._submit_to(handle, "metrics", None) for handle in self._handles]
-            return [self._collect_value(rid) for rid in rids]
+            return [self._collect(rid) for rid in rids]
 
     def fleet_metrics(self) -> Dict[str, object]:
         """All workers' metrics merged into one fleet-wide snapshot.

@@ -1,7 +1,7 @@
 """Shared utilities: seeded RNG management, timing, logging, table rendering."""
 
 from .rng import SeedSequenceFactory, make_rng, spawn_rngs
-from .timer import Stopwatch, Timer, TimingRecord
+from .timer import Timer, TimingRecord
 from .logging import configure_logging, get_logger
 from .tables import format_float, format_table
 
@@ -9,7 +9,6 @@ __all__ = [
     "SeedSequenceFactory",
     "make_rng",
     "spawn_rngs",
-    "Stopwatch",
     "Timer",
     "TimingRecord",
     "configure_logging",

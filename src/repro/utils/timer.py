@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
-__all__ = ["Timer", "TimingRecord", "Stopwatch"]
+__all__ = ["Timer", "TimingRecord"]
 
 
 @dataclass
@@ -22,31 +22,6 @@ class TimingRecord:
     @property
     def mean_seconds(self) -> float:
         return self.total_seconds / self.calls if self.calls else 0.0
-
-
-class Stopwatch:
-    """A simple start/stop stopwatch."""
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed = 0.0
-
-    def start(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("stopwatch was not started")
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 class Timer:

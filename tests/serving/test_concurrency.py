@@ -262,6 +262,5 @@ class TestGatewayConcurrency:
         _run_threads([worker] * num_threads)
 
         total_rows = num_threads * rounds * users.size
-        assert sum(gateway.request_counts.values()) == total_rows
         snap = gateway.metrics.snapshot()
         assert snap["totals"]["rows_served"] == total_rows

@@ -141,7 +141,6 @@ def test_child_serves_while_parent_threads_hold_every_lock(stack):
     locks = [
         catalog._lock,
         catalog.metrics._lock,
-        gateway._counts_lock,
         warmer._state_lock,
     ]
     with _LockHolder(locks):

@@ -33,6 +33,12 @@ def some_users(split, count=24):
     return np.asarray(sorted(split.test))[:count]
 
 
+def rows_served(gateway):
+    """Per-model served rows: the A/B tally in the gateway's metrics."""
+    models = gateway.metrics.snapshot()["models"]
+    return {name: model["rows_served"] for name, model in models.items()}
+
+
 class TestTrafficSplit:
     def test_rejects_empty_and_invalid_weights(self):
         with pytest.raises(ValueError):
@@ -119,7 +125,7 @@ class TestRouting:
         result = gateway.top_k(users, k=5)
         reference = catalog.recommender("gbgcn").recommend(users, k=5)
         assert np.array_equal(result.items, reference.items)
-        assert gateway.request_counts == {"gbgcn": users.size}
+        assert rows_served(gateway) == {"gbgcn": users.size}
 
     def test_named_model_overrides_default(self, gateway, catalog, small_split):
         users = some_users(small_split)
@@ -173,7 +179,7 @@ class TestMixedBatch:
         requests = [("mf", int(users[0])), ("nope", int(users[1])), ("gbgcn", int(users[2]))]
         with pytest.raises(UnknownCatalogModelError):
             gateway.top_k_mixed(requests, k=3)
-        assert gateway.request_counts == {}
+        assert rows_served(gateway) == {}
         assert catalog.stats.cold_starts == 0
 
     def test_empty_requests_rejected(self, gateway):
@@ -204,16 +210,23 @@ class TestTrafficSplitServing:
             reference = catalog.recommender(name).recommend(users[rows], k=5)
             assert np.array_equal(result.items[rows], reference.items)
 
-    def test_request_counts_tally_split_traffic(self, gateway, small_split):
+    def test_rows_served_tally_split_traffic(self, gateway, small_split):
         users = some_users(small_split)
         split = TrafficSplit({"gbgcn": 0.5, "mf": 0.5}, seed=3)
         gateway.top_k_split(split, users, k=5)
-        assert sum(gateway.request_counts.values()) == users.size
+        assert sum(rows_served(gateway).values()) == users.size
 
     def test_empty_user_batch(self, gateway):
         result = gateway.top_k_split(TrafficSplit({"mf": 1.0}), np.asarray([], dtype=np.int64), k=5)
         assert result.items.shape == (0, 5)
         assert result.models == []
+
+    def test_bad_deadline_fails_at_entry_before_name_checks(self, gateway, small_split):
+        empty = np.asarray([], dtype=np.int64)
+        with pytest.raises(ValueError, match="deadline seconds"):
+            gateway.top_k_split(TrafficSplit({"mf": 1.0}), empty, k=5, deadline=-1)
+        with pytest.raises(ValueError, match="deadline seconds"):
+            gateway.top_k_mixed([("no-such-model", 0)], k=5, deadline=-1)
 
 
 class TestGatewayMetrics:
@@ -232,8 +245,6 @@ class TestGatewayMetrics:
         latency = snap["models"]["gbgcn"]["request_latency"]
         assert latency["count"] == 1
         assert 0.0 < latency["p50"] <= latency["max"] * 1.5
-        # request_counts (the quick A/B tally) agrees with the registry.
-        assert gateway.request_counts["mf"] == 5
 
     def test_gateway_shares_the_catalog_registry_by_default(self, gateway, catalog, small_split):
         users = some_users(small_split, count=4)

@@ -10,8 +10,8 @@ observed the union of the streams.
 
 ``test_snapshot_without_buckets_is_rejected`` is the format regression
 (pre-fix snapshots fail loudly rather than merging wrongly); the
-union-stream tests are the correctness oracle the ISSUE's acceptance
-criterion names.
+union-stream tests are the correctness oracle.  ``TestCounterTable``
+pins the one ``COUNTERS`` table every counter path reads.
 """
 
 import json
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.serving import LatencyHistogram, MetricsRegistry
+from repro.serving.metrics import COUNTERS
 
 
 def _samples(seed: int, count: int) -> np.ndarray:
@@ -178,3 +179,48 @@ class TestRegistryMergeSnapshots:
         assert fleet["workers"] == 0
         assert fleet["models"] == {}
         assert fleet["totals"]["requests"] == 0
+
+    def test_model_without_histogram_is_rejected(self):
+        """Worker snapshots are outside input: a missing histogram is a ValueError."""
+        snap = self._loaded_registry(0, 5).snapshot()
+        del snap["models"]["mf"]["request_latency"]
+        with pytest.raises(ValueError, match="'mf'.*'request_latency'"):
+            MetricsRegistry.merge_snapshots([snap])
+
+
+class TestCounterTable:
+    def test_snapshot_keys_keep_their_order(self):
+        assert COUNTERS == (
+            "requests", "rows_served", "cold_starts", "reloads", "evictions",
+            "errors", "sheds", "deadline_exceeded", "breaker_opens", "fallbacks_served",
+        )
+        registry = MetricsRegistry()
+        registry.record_request("m", rows=1, seconds=0.001)
+        snap = registry.snapshot()
+        assert list(snap) == ["enabled", "models", "totals"]
+        assert list(snap["models"]["m"]) == [*COUNTERS, "request_latency", "cold_start_latency"]
+        assert list(snap["totals"]) == list(COUNTERS)
+
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_counter_records_totals_and_merges_exactly(self, counter):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        for registry, name, times in ((a, "m", 3), (b, "m", 1), (b, "n", 2)):
+            for _ in range(times):
+                registry.record(name, counter)
+        assert a.snapshot()["models"]["m"][counter] == 3
+        assert b.snapshot()["totals"][counter] == 3
+        fleet = MetricsRegistry.merge_snapshots([a.snapshot(), b.snapshot()])
+        assert fleet["models"]["m"][counter] == 4
+        assert fleet["models"]["n"][counter] == 2
+        assert fleet["totals"] == {
+            **dict.fromkeys(COUNTERS, 0),
+            counter: 6,
+            "request_latency": fleet["totals"]["request_latency"],
+            "cold_start_latency": fleet["totals"]["cold_start_latency"],
+        }
+
+    def test_unknown_counter_raises(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="unknown counter 'request_latency'"):
+            registry.record("m", "request_latency")
+        assert registry.snapshot()["models"] == {}

@@ -223,7 +223,8 @@ class TestPolicy:
 
 
 class TestGatewayWithoutPolicy:
-    """No policy: behavior identical to before, but deadlines still work."""
+    """No policy: the same request path, with no admission control and no
+    breakers; deadlines still work."""
 
     def test_resilience_attr_is_none(self, serving_dir, small_split):
         gateway = ServingGateway(ModelCatalog(serving_dir, small_split.train), default_model="mf")
@@ -237,6 +238,38 @@ class TestGatewayWithoutPolicy:
         snap = gateway.metrics.snapshot()
         assert snap["totals"]["deadline_exceeded"] == 1
         assert snap["totals"]["requests"] == 0
+
+
+@pytest.mark.parametrize("policy", [None, ResiliencePolicy()], ids=["no-policy", "policy"])
+class TestOneRequestPath:
+    """A policy adds admission and breakers, never a different request path.
+
+    With or without one, ``request_latency`` times the score call alone (a
+    cold start lands in ``cold_start_latency``), and the ``gateway.score``
+    fault hook fires once per request.
+    """
+
+    def test_cold_start_is_not_request_latency(self, serving_dir, small_split, policy):
+        gateway = ServingGateway(
+            ModelCatalog(serving_dir, small_split.train), default_model="mf", policy=policy
+        )
+        stall = FaultPlan([FaultRule("catalog.cold_start", kind="stall", seconds=0.05, count=1)])
+        with inject(stall):
+            gateway.top_k(np.arange(4), k=3)
+        model = gateway.metrics.snapshot()["models"]["mf"]
+        assert model["cold_start_latency"]["min"] >= 0.05
+        assert model["request_latency"]["max"] < 0.05
+
+    def test_score_hook_fires_once_per_request(self, serving_dir, small_split, policy):
+        gateway = ServingGateway(
+            ModelCatalog(serving_dir, small_split.train), default_model="mf", policy=policy
+        )
+        plan = FaultPlan([FaultRule("gateway.score", kind="stall", count=None)])
+        with inject(plan):
+            for _ in range(3):
+                gateway.top_k(np.arange(4), k=3)
+            gateway.scores(np.arange(2), np.arange(3))
+        assert plan.triggered == {("gateway.score", "stall"): 4}
 
 
 class TestGatewayShedding:
@@ -577,10 +610,10 @@ class TestFailureMetrics:
 
     def test_all_failure_counters_appear_in_snapshot(self):
         registry = MetricsRegistry()
-        registry.record_shed("m")
-        registry.record_deadline_exceeded("m")
-        registry.record_breaker_open("m")
-        registry.record_fallback("m")
+        registry.record("m", "sheds")
+        registry.record("m", "deadline_exceeded")
+        registry.record("m", "breaker_opens")
+        registry.record("m", "fallbacks_served")
         snap = registry.snapshot()
         for key in ("sheds", "deadline_exceeded", "breaker_opens", "fallbacks_served"):
             assert snap["models"]["m"][key] == 1
@@ -590,9 +623,9 @@ class TestFailureMetrics:
         registries = [MetricsRegistry() for _ in range(3)]
         for i, registry in enumerate(registries):
             for _ in range(i + 1):
-                registry.record_shed("m")
-                registry.record_fallback("m")
-            registry.record_deadline_exceeded("m")
+                registry.record("m", "sheds")
+                registry.record("m", "fallbacks_served")
+            registry.record("m", "deadline_exceeded")
         fleet = MetricsRegistry.merge_snapshots([r.snapshot() for r in registries])
         assert fleet["totals"]["sheds"] == 6
         assert fleet["totals"]["fallbacks_served"] == 6
@@ -606,13 +639,13 @@ class TestFailureMetrics:
             for key in ("sheds", "deadline_exceeded", "breaker_opens", "fallbacks_served"):
                 model.pop(key, None)
         new = MetricsRegistry()
-        new.record_shed("m")
+        new.record("m", "sheds")
         fleet = MetricsRegistry.merge_snapshots([old_snap, new.snapshot()])
         assert fleet["totals"]["sheds"] == 1
         assert fleet["totals"]["requests"] == 1
 
     def test_disabled_registry_ignores_failure_records(self):
         registry = MetricsRegistry(enabled=False)
-        registry.record_shed("m")
-        registry.record_deadline_exceeded("m")
+        registry.record("m", "sheds")
+        registry.record("m", "deadline_exceeded")
         assert registry.snapshot()["models"] == {}

@@ -65,9 +65,9 @@ class TestMetricsRegistry:
         registry.record_request("a", rows=5, seconds=0.02)
         registry.record_request("b", rows=1, seconds=0.001)
         registry.record_cold_start("a", seconds=0.05)
-        registry.record_reload("a")
-        registry.record_eviction("b")
-        registry.record_error("b")
+        registry.record("a", "reloads")
+        registry.record("b", "evictions")
+        registry.record("b", "errors")
 
         snap = registry.snapshot()
         assert snap["models"]["a"]["requests"] == 2
@@ -110,7 +110,7 @@ class TestMetricsRegistry:
             barrier.wait()
             for _ in range(per_thread):
                 registry.record_request(name, rows=1, seconds=0.001)
-                registry.record_eviction(name)
+                registry.record(name, "evictions")
 
         threads = [
             threading.Thread(target=hammer, args=(f"m{i % 2}",)) for i in range(num_threads)

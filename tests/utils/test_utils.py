@@ -4,11 +4,9 @@ import logging
 import time
 
 import numpy as np
-import pytest
 
 from repro.utils import (
     SeedSequenceFactory,
-    Stopwatch,
     Timer,
     configure_logging,
     format_float,
@@ -43,16 +41,6 @@ class TestRNG:
 
 
 class TestTimers:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch:
-            time.sleep(0.01)
-        assert watch.elapsed > 0.005
-
-    def test_stopwatch_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
     def test_timer_records_means(self):
         timer = Timer()
         for _ in range(3):
