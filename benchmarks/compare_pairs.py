@@ -1,0 +1,233 @@
+"""Compare ``perfbench/run.py`` runs of a parent commit and a change, pair by pair.
+
+Each input file holds the standard output of one or more runs of
+``python3 perfbench/run.py --workload W --seed S ...``.  A run is its
+``{"detail": ...}`` line, which names the workload and seed, followed by
+its result line ``{"correct", "attempted", "failed", "metrics"}``.  Runs
+of the two sides pair up by ``(workload, seed)``; a seed run on one side
+only is left out.
+
+For each workload and each end-to-end metric declared in
+``BENCHMARK.json`` the report gives both medians and quartiles, the
+change's median against the parent's, the parent's quartile spread, the
+pairs the change won and a verdict:
+
+* ``gain`` — the change wins at least nine tenths of at least ten pairs
+  (ties count for neither side) and its median beats the parent's by more
+  than the parent's quartile spread;
+* ``regression`` — the change's median is worse than the parent's by
+  more than the metric's bound;
+* ``unresolved`` — the parent's own quartile spread exceeds the bound,
+  so a worsening within it could not be told apart, unless every change
+  run reads better than every parent run;
+* ``within bound`` — otherwise.
+
+Spreads and differences are fractions of the parent's median, like the
+bounds.  Each workload's line also counts failed operations against the
+attempted ones and the runs whose output checks failed.
+
+Usage::
+
+    python benchmarks/compare_pairs.py --parent parent/*.txt --change change/*.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: A gain needs this share of the pairs won, over at least MIN_PAIRS pairs.
+WIN_SHARE = 0.9
+MIN_PAIRS = 10
+
+
+@dataclass
+class Run:
+    """One benchmark run: its checks, its operation counts and its metrics."""
+
+    correct: bool
+    attempted: int
+    failed: int
+    metrics: Dict[str, float]
+
+
+@dataclass
+class MetricRow:
+    name: str
+    parent: Tuple[float, float, float]  # q1, median, q3
+    change: Tuple[float, float, float]
+    difference: float  # (change - parent) / parent median, signed
+    spread: float  # parent (q3 - q1) / parent median
+    wins: int
+    pairs: int
+    bound: float
+    verdict: str
+
+
+@dataclass
+class WorkloadReport:
+    workload: str
+    pairs: int
+    failed: Tuple[int, int]  # parent, change
+    attempted: Tuple[int, int]
+    incorrect: Tuple[int, int]
+    rows: List[MetricRow] = field(default_factory=list)
+
+    @property
+    def failure_share_rose(self) -> bool:
+        """Whether the change fails a larger share of attempted operations."""
+        parent = self.failed[0] / max(self.attempted[0], 1)
+        return self.failed[1] / max(self.attempted[1], 1) > parent
+
+
+def parse_runs(lines: Iterable[str]) -> Dict[Tuple[str, int], Run]:
+    """``{(workload, seed): Run}`` from the output lines of ``perfbench/run.py``."""
+    runs: Dict[Tuple[str, int], Run] = {}
+    key: Optional[Tuple[str, int]] = None
+    for line in lines:
+        line = line.strip()
+        if not line.startswith("{"):
+            continue
+        record = json.loads(line)
+        if "detail" in record:
+            key = (str(record["detail"]["workload"]), int(record["detail"]["seed"]))
+        elif "correct" in record:
+            if key is None:
+                raise ValueError("a result line precedes any detail line")
+            if key in runs:
+                raise ValueError(f"workload {key[0]} seed {key[1]} appears twice on one side")
+            runs[key] = Run(
+                correct=bool(record["correct"]),
+                attempted=int(record["attempted"]),
+                failed=int(record["failed"]),
+                metrics={name: float(m["value"]) for name, m in record["metrics"].items()},
+            )
+            key = None
+    return runs
+
+
+def read_runs(paths: Sequence[Path]) -> Dict[Tuple[str, int], Run]:
+    """The runs in a set of output files, one side of the comparison."""
+    return parse_runs(line for path in paths for line in Path(path).read_text().splitlines())
+
+
+def _relative(value: float, base: float) -> float:
+    if base == 0.0:
+        return 0.0 if value == 0.0 else float("inf")
+    return value / abs(base)
+
+
+def verdict(
+    parent: Sequence[float], change: Sequence[float], better: str, bound: float
+) -> Tuple[str, int, float, float]:
+    """``(verdict, wins, signed difference, parent spread)`` of paired values."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent_q1, parent_median, parent_q3 = np.percentile(parent, [25, 50, 75])
+    difference = _relative(float(np.median(change)) - parent_median, parent_median)
+    spread = _relative(parent_q3 - parent_q1, parent_median)
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
+    worse_by = sign * difference
+    pairs = len(parent)
+    if pairs >= MIN_PAIRS and wins >= WIN_SHARE * pairs and -worse_by > spread:
+        return "gain", wins, difference, spread
+    if worse_by > bound:
+        return "regression", wins, difference, spread
+    every_change_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if spread > bound and not every_change_run_better:
+        return "unresolved", wins, difference, spread
+    return "within bound", wins, difference, spread
+
+
+def compare(
+    parent_runs: Dict[Tuple[str, int], Run],
+    change_runs: Dict[Tuple[str, int], Run],
+    end_to_end: Sequence[dict],
+) -> List[WorkloadReport]:
+    """One report per workload over the ``(workload, seed)`` keys both sides ran."""
+    reports = []
+    workloads = sorted({key[0] for key in parent_runs.keys() & change_runs.keys()})
+    for workload in workloads:
+        keys = sorted(k for k in parent_runs.keys() & change_runs.keys() if k[0] == workload)
+        parent = [parent_runs[k] for k in keys]
+        change = [change_runs[k] for k in keys]
+        report = WorkloadReport(
+            workload=workload,
+            pairs=len(keys),
+            failed=(sum(r.failed for r in parent), sum(r.failed for r in change)),
+            attempted=(sum(r.attempted for r in parent), sum(r.attempted for r in change)),
+            incorrect=(sum(not r.correct for r in parent), sum(not r.correct for r in change)),
+        )
+        for metric in end_to_end:
+            name = metric["name"]
+            parent_values = [r.metrics[name] for r in parent]
+            change_values = [r.metrics[name] for r in change]
+            label, wins, difference, spread = verdict(
+                parent_values, change_values, metric["better"], float(metric["bound"])
+            )
+            report.rows.append(
+                MetricRow(
+                    name=name,
+                    parent=tuple(np.percentile(parent_values, [25, 50, 75])),
+                    change=tuple(np.percentile(change_values, [25, 50, 75])),
+                    difference=difference,
+                    spread=spread,
+                    wins=wins,
+                    pairs=len(keys),
+                    bound=float(metric["bound"]),
+                    verdict=label,
+                )
+            )
+        reports.append(report)
+    return reports
+
+
+def format_report(reports: Sequence[WorkloadReport]) -> str:
+    out = []
+    for report in reports:
+        out.append(
+            f"{report.workload}: {report.pairs} pairs; failed parent "
+            f"{report.failed[0]}/{report.attempted[0]}, change {report.failed[1]}/{report.attempted[1]}; "
+            f"incorrect runs parent {report.incorrect[0]}, change {report.incorrect[1]}"
+            + ("; FAILURE SHARE ROSE" if report.failure_share_rose else "")
+        )
+        out.append(
+            f"  {'metric':14s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s} "
+            f"{'change':>8s} {'spread':>7s} {'bound':>6s} {'wins':>6s}  verdict"
+        )
+        for row in report.rows:
+            parent = f"{row.parent[1]:.4g} [{row.parent[0]:.4g}, {row.parent[2]:.4g}]"
+            change = f"{row.change[1]:.4g} [{row.change[0]:.4g}, {row.change[2]:.4g}]"
+            out.append(
+                f"  {row.name:14s} {parent:>30s} {change:>30s} {row.difference:+8.1%} "
+                f"{row.spread:7.1%} {row.bound:6.0%} {row.wins:>3d}/{row.pairs:<2d}  {row.verdict}"
+            )
+    return "\n".join(out)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", nargs="+", type=Path, required=True, help="parent run outputs")
+    parser.add_argument("--change", nargs="+", type=Path, required=True, help="change run outputs")
+    parser.add_argument(
+        "--benchmark", type=Path, default=REPO_ROOT / "BENCHMARK.json", help="metric bounds"
+    )
+    args = parser.parse_args(argv)
+    end_to_end = json.loads(args.benchmark.read_text())["end_to_end"]
+    reports = compare(read_runs(args.parent), read_runs(args.change), end_to_end)
+    if not reports:
+        print("no (workload, seed) pair was run on both sides", file=sys.stderr)
+        return 1
+    print(format_report(reports))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,9 @@ Two questions a production rollout asks before turning the policy on:
    deadline stamp, an admission ticket, a breaker check and a fault-point
    probe.  The gate: the fully-armed happy path must stay within 10% of
    the bare gateway on the same workload (interleaved trials, medians, so
-   machine drift cancels out).
+   machine drift cancels out).  Each trial runs for a fixed minimum wall
+   time rather than a fixed request count, so a faster score path does
+   not shrink the trials into the host's timing noise.
 
 2. **What does a request experience when things do fail?**  Under a
    seeded stall storm (`repro.serving.faults`), successful requests must
@@ -58,7 +60,7 @@ TOP_K = 10
 
 # Overhead measurement: interleaved plain/resilient trials, median-of-N.
 TRIALS = 7
-REQUESTS_PER_TRIAL = 60
+TRIAL_SECONDS = 1.0
 OVERHEAD_GATE_PCT = 10.0
 
 # SLO measurement: seeded stall storm against a deadline, driven through
@@ -106,13 +108,15 @@ def _make_gateway(directory, split, policy):
 
 
 def _requests_per_second(gateway, rng):
-    batches = [
-        rng.integers(0, NUM_USERS, size=BATCH_USERS) for _ in range(REQUESTS_PER_TRIAL)
-    ]
+    """Served requests per second over one trial of at least TRIAL_SECONDS."""
+    served = 0
+    elapsed = 0.0
     started = time.perf_counter()
-    for users in batches:
-        gateway.top_k(users, k=TOP_K)
-    return REQUESTS_PER_TRIAL / (time.perf_counter() - started)
+    while elapsed < TRIAL_SECONDS:
+        gateway.top_k(rng.integers(0, NUM_USERS, size=BATCH_USERS), k=TOP_K)
+        served += 1
+        elapsed = time.perf_counter() - started
+    return served / elapsed
 
 
 @pytest.mark.slow
@@ -153,7 +157,7 @@ def test_happy_path_overhead_within_gate(serving_setup):
     )
     _RESULTS["overhead"] = {
         "batch_users": BATCH_USERS,
-        "requests_per_trial": REQUESTS_PER_TRIAL,
+        "trial_seconds": TRIAL_SECONDS,
         "trials": TRIALS,
         "plain_req_s": round(plain_req_s, 1),
         "resilient_req_s": round(armed_req_s, 1),

@@ -218,7 +218,7 @@ class GBGCN(RecommenderModel):
             cache["item_participant"],
         )
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         if self._eval_cache is None:
             self.prepare_for_evaluation()
         cache = self._eval_cache

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..autograd import Tensor, cache_transpose, gathered_dot_difference, sparse_matmul
+from ..models.base import item_rows
 
 __all__ = ["RoleWeightedPredictor"]
 
@@ -102,7 +103,7 @@ class RoleWeightedPredictor:
     def score_candidates_batch(
         self,
         users: np.ndarray,
-        item_ids: np.ndarray,
+        item_ids: Optional[np.ndarray],
         user_initiator: np.ndarray,
         item_initiator: np.ndarray,
         friend_average_participant: np.ndarray,
@@ -113,9 +114,10 @@ class RoleWeightedPredictor:
         Two matrix-matrix products over the cached propagated embeddings
         replace ``len(users)`` matrix-vector products of
         :meth:`score_candidates` — the serving/batched-evaluation hot path.
+        ``item_ids=None`` scores every item against the two item views in
+        place (:func:`~repro.models.base.item_rows`), copying neither.
         """
         users = np.asarray(users, dtype=np.int64)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        own = user_initiator[users] @ item_initiator[item_ids].T
-        friends = friend_average_participant[users] @ item_participant[item_ids].T
+        own = user_initiator[users] @ item_rows(item_initiator, item_ids).T
+        friends = friend_average_participant[users] @ item_rows(item_participant, item_ids).T
         return (1.0 - self.alpha) * own + self.alpha * friends

@@ -97,7 +97,7 @@ class GBGCNPretrainModel(RecommenderModel):
             self.item_embedding.weight.data,
         )
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         if self._eval_cache is None:
             self.prepare_for_evaluation()
         return self.predictor.score_candidates_batch(

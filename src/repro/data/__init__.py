@@ -1,7 +1,7 @@
 """Group-buying data model, synthetic Beibei-like generator and utilities."""
 
 from .schema import GroupBuyingBehavior, SocialEdge
-from .dataset import GroupBuyingDataset, observed_item_matrix
+from .dataset import GroupBuyingDataset, observed_item_matrix, observed_positions
 from .synthetic import (
     BeibeiLikeConfig,
     BeibeiLikeGenerator,
@@ -53,6 +53,7 @@ __all__ = [
     "generate_population",
     "fit_zipf_exponent",
     "observed_item_matrix",
+    "observed_positions",
     "DatasetSplit",
     "leave_one_out_split",
     "EvaluationCandidateSampler",

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .schema import GroupBuyingBehavior, SocialEdge
 
-__all__ = ["GroupBuyingDataset", "observed_item_matrix"]
+__all__ = ["GroupBuyingDataset", "observed_item_matrix", "observed_positions"]
 
 
 def observed_item_matrix(
@@ -27,8 +27,9 @@ def observed_item_matrix(
 
     The shared building block for every vectorized observed-item lookup:
     batch negative sampling, the batched full-ranking evaluator's exclusion
-    mask, and the serving layer's already-bought filter all row-slice this
-    matrix instead of testing per-user Python sets.
+    mask, and the serving layer's already-bought filter all read this
+    matrix's rows (the latter two through :func:`observed_positions`)
+    instead of testing per-user Python sets.
     """
     rows = []
     cols = []
@@ -37,6 +38,30 @@ def observed_item_matrix(
         cols.extend(items)
     data = np.ones(len(rows), dtype=bool)
     return sp.csr_matrix((data, (rows, cols)), shape=(num_users, num_items), dtype=bool)
+
+
+def observed_positions(observed: sp.csr_matrix, users: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, items)`` of the stored entries of ``observed[users]``.
+
+    Reads the user block straight from the CSR's ``indptr``/``indices``
+    instead of slicing the matrix: ``rows[j]`` is a position in ``users``
+    (non-decreasing; a repeated user repeats its entries) and ``items[j]``
+    an item that user observed.  Every stored entry counts, so a matrix
+    holding explicit zeros must drop them first (``eliminate_zeros``).
+    ``items`` may be a view of ``observed.indices``: read it, never write it.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    if users.size == 1:
+        # One user per request is the serving norm: one slice, no gathers.
+        user = int(users[0])
+        items = observed.indices[observed.indptr[user] : observed.indptr[user + 1]]
+        return np.zeros(items.size, dtype=np.int64), items
+    starts = observed.indptr[users]
+    counts = observed.indptr[users + 1] - starts
+    rows = np.repeat(np.arange(users.size), counts)
+    # Entry j of row r sits at starts[r] + (j - first entry of row r).
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, observed.indices[np.repeat(starts, counts) + offsets]
 
 
 class GroupBuyingDataset:

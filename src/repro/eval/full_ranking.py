@@ -12,8 +12,10 @@ Two scoring paths are provided:
 * the **batched path** (default) scores users in configurable blocks with
   :meth:`~repro.models.base.RecommenderModel.score_all_items` — one
   matrix-matrix product per block over the model's cached propagated
-  embeddings — and excludes each user's observed items with a sparse
-  row-slice mask instead of rebuilding a candidate array per user;
+  embeddings — and excludes each user's observed items with a mask set
+  from the observed matrix's CSR rows
+  (:func:`~repro.data.dataset.observed_positions`) instead of rebuilding a
+  candidate array per user;
 * the **per-user path** (``batch_size=None`` or
   :meth:`FullRankingEvaluator.evaluate_test_loop`) is the original
   reference implementation, kept as the oracle the batched path is
@@ -31,7 +33,7 @@ from typing import Dict, Optional, Set
 import numpy as np
 import scipy.sparse as sp
 
-from ..data.dataset import observed_item_matrix
+from ..data.dataset import observed_item_matrix, observed_positions
 from ..data.splits import DatasetSplit
 from ..models.base import RecommenderModel
 from .metrics import MetricAccumulator
@@ -132,7 +134,9 @@ class FullRankingEvaluator:
             positive_scores = scores[block_rows, block_positives]
 
             if observed_csr is not None:
-                excluded = observed_csr[block_users].toarray()
+                rows, items = observed_positions(observed_csr, block_users)
+                excluded = np.zeros(scores.shape, dtype=bool)
+                excluded[rows, items] = True
                 # The positive itself is always ranked, even when observed.
                 excluded[block_rows, block_positives] = False
                 valid = ~excluded

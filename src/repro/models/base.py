@@ -11,7 +11,9 @@ The trainer and the evaluator only rely on this interface:
   *block* of users at once (used by the batched full-ranking evaluator and
   the serving layer); the base class falls back to per-user ``rank_scores``
   so every model works, and embedding models override it with one
-  matrix-matrix product over their cached propagated embeddings;
+  matrix-matrix product over their cached propagated embeddings.
+  ``item_ids=None`` means the whole catalog: item tables are then read in
+  place through :func:`item_rows` instead of being gathered row by row;
 * ``prepare_for_evaluation`` / ``invalidate_cache`` — hooks that let graph
   models propagate embeddings once per evaluation pass instead of once per
   scored user;
@@ -32,11 +34,23 @@ import numpy as np
 from ..autograd import Tensor
 from ..nn import Module, l2_regularization
 
-__all__ = ["DataMode", "RecommenderModel", "EXTRA_STATE_PREFIX"]
+__all__ = ["DataMode", "RecommenderModel", "EXTRA_STATE_PREFIX", "item_rows"]
 
 #: Key prefix separating non-parameter state (ItemKNN similarity matrices,
 #: ItemPop counts, ...) from trainable parameters inside ``state_dict``.
 EXTRA_STATE_PREFIX = "__extra__/"
+
+
+def item_rows(table: np.ndarray, item_ids: Optional[np.ndarray]) -> np.ndarray:
+    """The rows of an item-indexed ``table`` for ``item_ids``.
+
+    ``None`` stands for every item in ID order and returns ``table`` itself:
+    full-catalog scoring multiplies against the table in place instead of
+    gathering a copy of it, with bitwise the same product.
+    """
+    if item_ids is None:
+        return table
+    return table[np.asarray(item_ids, dtype=np.int64)]
 
 
 class DataMode(str, enum.Enum):
@@ -92,17 +106,25 @@ class RecommenderModel(Module):
         """Scores of ``item_ids`` for ``user`` as a plain NumPy array."""
         raise NotImplementedError
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         """Score a block of users against a block of items.
 
         Returns a ``(len(users), len(item_ids))`` float64 array where row
-        ``i`` holds the scores of ``item_ids`` for ``users[i]``.  The base
+        ``i`` holds the scores of ``item_ids`` for ``users[i]``.
+        ``item_ids=None`` means every item in ID order: overrides read
+        their item tables in place through :func:`item_rows` rather than
+        gathering them, and the bytes equal those of
+        ``score_batch(users, np.arange(num_items))``.  The base
         implementation loops over ``rank_scores`` so any model is batchable;
         embedding-based models override it with a single matrix product.
-        The result may be a read-only view (e.g. ItemPop broadcasts one
-        popularity row across users) — copy before mutating in place.
+
+        The result is either a new array the caller may write, or a
+        read-only view (e.g. ItemPop broadcasts its popularity vector
+        across users) — copy before mutating a read-only result in place.
         """
         users = np.asarray(users, dtype=np.int64)
+        if item_ids is None:
+            item_ids = np.arange(self.num_items, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
         if users.size == 0:
             return np.zeros((0, item_ids.size), dtype=np.float64)
@@ -111,8 +133,14 @@ class RecommenderModel(Module):
         )
 
     def score_all_items(self, users: np.ndarray) -> np.ndarray:
-        """Scores of every item in the catalog for a block of users."""
-        return self.score_batch(users, np.arange(self.num_items, dtype=np.int64))
+        """Scores of every item in the catalog for a block of users.
+
+        The whole-catalog case of :meth:`score_batch` (``item_ids=None``):
+        no item table is copied, and the bytes equal those of
+        ``score_batch(users, np.arange(num_items))``.  Models override
+        ``score_batch``, never this method.
+        """
+        return self.score_batch(users)
 
     def scoring_factors(self):
         """Optional inner-product decomposition of this model's scores.

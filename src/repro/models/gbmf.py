@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..training.batches import GroupBuyingBatch
-from .base import DataMode, RecommenderModel
+from .base import DataMode, RecommenderModel, item_rows
 
 __all__ = ["GBMF"]
 
@@ -102,11 +102,11 @@ class GBMF(RecommenderModel):
         friends = item_vectors @ self._eval_cache[user]
         return (1.0 - self.alpha) * own + self.alpha * friends
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         if self._eval_cache is None:
             self.prepare_for_evaluation()
         users = np.asarray(users, dtype=np.int64)
-        item_vectors = self.item_embedding.weight.data[np.asarray(item_ids, dtype=np.int64)]
+        item_vectors = item_rows(self.item_embedding.weight.data, item_ids)
         own = self.user_embedding.weight.data[users] @ item_vectors.T
         friends = self._eval_cache[users] @ item_vectors.T
         return (1.0 - self.alpha) * own + self.alpha * friends

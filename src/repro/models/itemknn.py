@@ -120,17 +120,14 @@ class ItemKNN(RecommenderModel):
         scores = profile @ self.similarity
         return np.asarray(scores.todense()).ravel()[item_ids]
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         users = np.asarray(users, dtype=np.int64)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
         profiles = self._interaction_matrix[users]
+        if item_ids is None:
+            return (profiles @ self.similarity).toarray()
+        item_ids = np.asarray(item_ids, dtype=np.int64)
         if item_ids.size >= self.num_items:
-            dense = (profiles @ self.similarity).toarray()
-            if item_ids.size == self.num_items and np.array_equal(
-                item_ids, np.arange(self.num_items, dtype=np.int64)
-            ):
-                return dense  # full catalog in order: skip the column copy
-            return dense[:, item_ids]
+            return (profiles @ self.similarity).toarray()[:, item_ids]
         # Candidate subset: restrict the similarity columns before the
         # product instead of densifying the whole catalog.
         return (profiles @ self.similarity[:, item_ids]).toarray()

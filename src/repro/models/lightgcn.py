@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from ..autograd import Tensor, concat, gathered_dot_difference, no_grad, sparse_matmul
 from ..graph.bipartite import BipartiteGraph
 from ..nn import Embedding, bpr_difference_loss
-from .base import DataMode, RecommenderModel
+from .base import DataMode, RecommenderModel, item_rows
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
@@ -118,13 +118,12 @@ class LightGCN(RecommenderModel):
         item_vectors = embeddings[self.num_users + np.asarray(item_ids, dtype=np.int64)]
         return item_vectors @ user_vector
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         if self._eval_cache is None:
             self.prepare_for_evaluation()
         embeddings = self._eval_cache
         user_vectors = embeddings[np.asarray(users, dtype=np.int64)]
-        item_vectors = embeddings[self.num_users + np.asarray(item_ids, dtype=np.int64)]
-        return user_vectors @ item_vectors.T
+        return user_vectors @ item_rows(embeddings[self.num_users :], item_ids).T
 
     def scoring_factors(self):
         if self._eval_cache is None:

@@ -77,10 +77,12 @@ class NCF(RecommenderModel):
         with no_grad():
             return self.score_pairs(users, item_ids).data
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         # The MLP head is pairwise, so the block is flattened into aligned
         # (user, item) arrays and pushed through one vectorized forward pass.
         users = np.asarray(users, dtype=np.int64)
+        if item_ids is None:
+            item_ids = np.arange(self.num_items, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
         flat_users = np.repeat(users, item_ids.size)
         flat_items = np.tile(item_ids, users.size)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
-from .base import DataMode, RecommenderModel
+from .base import DataMode, RecommenderModel, item_rows
 
 __all__ = ["NGCF"]
 
@@ -112,13 +112,12 @@ class NGCF(RecommenderModel):
         item_vectors = embeddings[self.num_users + np.asarray(item_ids, dtype=np.int64)]
         return item_vectors @ user_vector
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         if self._eval_cache is None:
             self.prepare_for_evaluation()
         embeddings = self._eval_cache
         user_vectors = embeddings[np.asarray(users, dtype=np.int64)]
-        item_vectors = embeddings[self.num_users + np.asarray(item_ids, dtype=np.int64)]
-        return user_vectors @ item_vectors.T
+        return user_vectors @ item_rows(embeddings[self.num_users :], item_ids).T
 
     def scoring_factors(self):
         if self._eval_cache is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..data.converters import InteractionConversion
-from .base import DataMode, RecommenderModel
+from .base import DataMode, RecommenderModel, item_rows
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
@@ -52,9 +52,9 @@ class ItemPopularity(RecommenderModel):
     def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
         return self.scores[np.asarray(item_ids, dtype=np.int64)]
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         users = np.asarray(users, dtype=np.int64)
-        row = self.scores[np.asarray(item_ids, dtype=np.int64)]
+        row = item_rows(self.scores, item_ids)
         # Read-only view: every row is the same array, with zero copies.
         return np.broadcast_to(row, (users.size, row.size))
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
-from .base import DataMode, RecommenderModel
+from .base import DataMode, RecommenderModel, item_rows
 
 __all__ = ["SIGR"]
 
@@ -133,11 +133,10 @@ class SIGR(RecommenderModel):
         group_vector = self._eval_cache[group]
         return self.item_embedding.weight.data[item_ids] @ group_vector
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         if self._eval_cache is None:
             self.prepare_for_evaluation()
         users = np.asarray(users, dtype=np.int64)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
         # Each user scores with their group's representation; cold users
         # (no group history) fall back to their own raw embedding, exactly
         # as in the per-user path.
@@ -146,7 +145,7 @@ class SIGR(RecommenderModel):
         grouped = groups >= 0
         if grouped.any():
             query_vectors[grouped] = self._eval_cache[groups[grouped]]
-        return query_vectors @ self.item_embedding.weight.data[item_ids].T
+        return query_vectors @ item_rows(self.item_embedding.weight.data, item_ids).T
 
     @property
     def name(self) -> str:

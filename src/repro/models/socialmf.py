@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
-from .base import DataMode, RecommenderModel
+from .base import DataMode, RecommenderModel, item_rows
 
 __all__ = ["SocialMF"]
 
@@ -78,10 +78,9 @@ class SocialMF(RecommenderModel):
             item_vectors = self.item_embedding.weight.data[np.asarray(item_ids, dtype=np.int64)]
             return item_vectors @ user_vector
 
-    def score_batch(self, users: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         user_vectors = self.user_embedding.weight.data[np.asarray(users, dtype=np.int64)]
-        item_vectors = self.item_embedding.weight.data[np.asarray(item_ids, dtype=np.int64)]
-        return user_vectors @ item_vectors.T
+        return user_vectors @ item_rows(self.item_embedding.weight.data, item_ids).T
 
     def scoring_factors(self):
         return self.user_embedding.weight.data, self.item_embedding.weight.data

@@ -87,14 +87,19 @@ class EmbeddingStore:
 
     @contextlib.contextmanager
     def _eval_mode(self):
-        """Score in eval mode, restoring the caller's train/eval state after."""
-        was_training = self.model.training
+        """Score in eval mode, restoring the caller's train/eval state after.
+
+        A model already in eval mode (every model ``load_model`` returns)
+        is left alone: ``eval()`` walks the whole module tree in Python.
+        """
+        if not self.model.training:
+            yield
+            return
         self.model.eval()
         try:
             yield
         finally:
-            if was_training:
-                self.model.train()
+            self.model.train()
 
     def refresh(self) -> int:
         """Re-propagate the model's embeddings; returns the new version."""

@@ -6,9 +6,10 @@ it for whole batches of users at once, through one of two paths:
 
 * **dense** (default) — one :meth:`EmbeddingStore.score_all_items` call
   produces the ``(users, items)`` score block from cached propagated
-  embeddings, observed items are masked per user through a sparse row
-  slice, and ``np.argpartition`` selects the top ``k`` in O(items) per
-  user;
+  embeddings without copying any item table, each user's observed items
+  are set to ``-inf`` in place at the positions the observed matrix's
+  ``indptr``/``indices`` list (:func:`~repro.data.dataset.observed_positions`),
+  and ``np.argpartition`` selects the top ``k`` in O(items) per user;
 * **retrieval** (``retriever=``) — a
   :class:`~repro.serving.retrieval.RetrievalIndex` shortlists a few
   hundred candidates per user (IVF probe over the model's item factors),
@@ -31,12 +32,31 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..data.dataset import GroupBuyingDataset, observed_item_matrix
+from ..data.dataset import GroupBuyingDataset, observed_item_matrix, observed_positions
 from .errors import ServingError, validate_user_ids
 from .retrieval import RetrievalIndex
 from .store import EmbeddingStore
 
 __all__ = ["TopKResult", "TopKRecommender"]
+
+
+def _truthy_entries(observed: sp.spmatrix) -> sp.csr_matrix:
+    """``observed`` as a CSR whose stored entries are exactly its truthy cells.
+
+    The exclusion mask reads only the CSR structure, so an explicit zero
+    (a stored ``False``) or duplicates summing to zero would otherwise mask
+    an item that ``observed.toarray()`` leaves unmasked.  A matrix that is
+    already canonical with no stored zeros is returned as is (the catalog
+    shares one across models); anything else is fixed on a copy, never on
+    the caller's matrix.
+    """
+    observed = observed.tocsr()
+    if observed.has_canonical_format and np.all(observed.data):
+        return observed
+    observed = observed.copy()
+    observed.sum_duplicates()
+    observed.eliminate_zeros()
+    return observed
 
 
 @dataclass(frozen=True)
@@ -116,9 +136,11 @@ class TopKRecommender:
         precomputed ``observed_matrix`` (see
         :func:`~repro.data.dataset.observed_item_matrix`) skips the rebuild —
         the :class:`~repro.serving.catalog.ModelCatalog` shares one across
-        every model serving the same dataset.  ``retriever`` switches the
-        recommender to shortlist-then-rescore mode (see the module
-        docstring); it must index exactly the store's item catalog."""
+        every model serving the same dataset.  Its truthy entries are the
+        observed items; explicit zeros (stored ``False``) mask nothing.
+        ``retriever`` switches the recommender to shortlist-then-rescore
+        mode (see the module docstring); it must index exactly the store's
+        item catalog."""
         if k < 1:
             raise ValueError("k must be positive")
         if batch_size < 1:
@@ -141,14 +163,13 @@ class TopKRecommender:
         self._query_version = -1
         self._observed_matrix: Optional[sp.csr_matrix] = None
         if exclude_observed:
-            if observed_matrix is not None:
-                self._observed_matrix = observed_matrix
-            else:
-                self._observed_matrix = observed_item_matrix(
+            if observed_matrix is None:
+                observed_matrix = observed_item_matrix(
                     dataset.user_item_set(include_participants=True),
                     dataset.num_users,
                     dataset.num_items,
                 )
+            self._observed_matrix = _truthy_entries(observed_matrix)
 
     def recommend(self, users: np.ndarray, k: Optional[int] = None) -> TopKResult:
         """Top-``k`` items for every user in ``users``.
@@ -199,8 +220,13 @@ class TopKRecommender:
     def _top_k_block(self, users: np.ndarray, k: int) -> tuple:
         scores = self.store.score_all_items(users)
         if self._observed_matrix is not None:
-            observed = self._observed_matrix[users].toarray()
-            scores = np.where(observed, -np.inf, scores)
+            rows, items = observed_positions(self._observed_matrix, users)
+            if rows.size:
+                if not (scores.flags.writeable and scores.flags.owndata):
+                    # A read-only view (ItemPop broadcasts one row) or a view
+                    # of an array the model keeps: mask a private copy.
+                    scores = scores.copy()
+                scores[rows, items] = -np.inf
 
         # Partial selection of the k best columns per row, then an exact
         # sort of just those k.
@@ -231,11 +257,13 @@ class TopKRecommender:
         shortlists = self.retriever.shortlist(queries)
         top_items = np.full((users.size, k), -1, dtype=np.int64)
         top_scores = np.full((users.size, k), -np.inf, dtype=np.float64)
+        if self._observed_matrix is not None:
+            rows, observed = observed_positions(self._observed_matrix, users)
+            bounds = np.searchsorted(rows, np.arange(users.size + 1))
         for row, (user, candidates) in enumerate(zip(users, shortlists)):
-            if self._observed_matrix is not None:
-                row_slice = self._observed_matrix[int(user)]
-                if row_slice.nnz:
-                    candidates = candidates[~np.isin(candidates, row_slice.indices)]
+            if self._observed_matrix is not None and bounds[row] < bounds[row + 1]:
+                seen = observed[bounds[row] : bounds[row + 1]]
+                candidates = candidates[~np.isin(candidates, seen)]
             if candidates.size == 0:
                 continue
             # Exact rescoring through the existing score path: the ranking

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.data import GroupBuyingBehavior, GroupBuyingDataset, SocialEdge
+from repro.data import (
+    GroupBuyingBehavior,
+    GroupBuyingDataset,
+    SocialEdge,
+    observed_item_matrix,
+    observed_positions,
+)
 
 
 class TestValidation:
@@ -95,3 +101,22 @@ class TestSubsetting:
         )
         assert rebuilt.num_behaviors == tiny_dataset.num_behaviors
         assert rebuilt.behaviors == tiny_dataset.behaviors
+
+
+class TestObservedPositions:
+    @pytest.fixture()
+    def observed(self):
+        interactions = {0: {1, 3}, 2: {0}, 3: {4, 2, 1}, 5: set()}
+        return observed_item_matrix(interactions, num_users=6, num_items=5)
+
+    @pytest.mark.parametrize(
+        "users", [[3], [1], [0, 2, 3], [3, 0, 3], [1, 5, 4], []], ids=str
+    )
+    def test_positions_are_the_dense_rows_true_cells(self, observed, users):
+        users = np.asarray(users, dtype=np.int64)
+        rows, items = observed_positions(observed, users)
+        assert (np.diff(rows) >= 0).all()
+        mask = np.zeros((users.size, observed.shape[1]), dtype=bool)
+        mask[rows, items] = True
+        assert np.array_equal(mask, observed[users].toarray())
+        assert rows.size == observed[users].nnz

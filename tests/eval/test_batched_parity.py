@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.eval import FullRankingEvaluator
-from repro.models import build_model
+from repro.models import SERVABLE_MODEL_NAMES, build_model
+from repro.models.base import RecommenderModel, item_rows
+from repro.persist import LAYOUT_DIR, load_model, save_model
 
 #: GBGCN plus at least two baselines (per the regression-test requirement);
 #: the extra rows cover every distinct score_batch implementation shape.
@@ -124,3 +126,43 @@ class TestScoreBatchParity:
             np.testing.assert_allclose(
                 block[row], np.asarray(model.rank_scores(int(user), item_ids), dtype=np.float64)
             )
+
+
+class TestWholeCatalogScoring:
+    """``score_all_items`` reads item tables in place, with the gathered bytes."""
+
+    @staticmethod
+    def _users(dataset):
+        # A repeated user, the first and the last user.
+        return np.asarray([0, 5, 5, dataset.num_users - 1], dtype=np.int64)
+
+    @pytest.mark.parametrize("name", SERVABLE_MODEL_NAMES)
+    def test_bytes_equal_the_gathered_block(self, small_split, name):
+        model = build_model(name, small_split.train, rng=np.random.default_rng(23))
+        model.eval()
+        users = self._users(small_split.train)
+        whole = model.score_all_items(users)
+        gathered = model.score_batch(users, np.arange(model.num_items, dtype=np.int64))
+        assert whole.dtype == gathered.dtype
+        assert whole.tobytes() == gathered.tobytes()
+
+    @pytest.mark.parametrize("name", SERVABLE_MODEL_NAMES)
+    def test_bytes_equal_after_mmap_dir_load(self, small_split, tmp_path, name):
+        model = build_model(name, small_split.train, rng=np.random.default_rng(23))
+        save_model(model, tmp_path / "model.npyd", layout=LAYOUT_DIR)
+        loaded = load_model(tmp_path / "model.npyd", small_split.train)
+        loaded.eval()
+        users = self._users(small_split.train)
+        whole = loaded.score_all_items(users)
+        gathered = loaded.score_batch(users, np.arange(loaded.num_items, dtype=np.int64))
+        assert whole.tobytes() == gathered.tobytes()
+
+    @pytest.mark.parametrize("name", SERVABLE_MODEL_NAMES)
+    def test_no_model_overrides_score_all_items(self, small_split, name):
+        model = build_model(name, small_split.train, rng=np.random.default_rng(23))
+        assert type(model).score_all_items is RecommenderModel.score_all_items
+
+    def test_item_rows_returns_the_table_itself_for_the_whole_catalog(self):
+        table = np.arange(12.0).reshape(4, 3)
+        assert item_rows(table, None) is table
+        np.testing.assert_array_equal(item_rows(table, [2, 0]), table[[2, 0]])

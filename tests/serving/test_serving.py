@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.models import build_model
+from repro.data import observed_item_matrix
+from repro.models import SERVABLE_MODEL_NAMES, build_model
+from repro.models.base import RecommenderModel
 from repro.optim import Adam
 from repro.serving import EmbeddingStore, TopKRecommender
+from repro.serving.retrieval import build_index_for_model
 from repro.training import Trainer, build_batch_iterator
 
 
@@ -81,6 +85,18 @@ class TestEmbeddingStore:
         store.score_all_items(np.asarray([0]))
         assert not gbgcn.training
         gbgcn.train()
+
+    def test_a_model_in_eval_mode_is_not_walked_again(self, gbgcn, monkeypatch):
+        store = EmbeddingStore(gbgcn)
+        gbgcn.eval()
+        store.refresh()
+        calls = []
+        monkeypatch.setattr(gbgcn, "eval", lambda: calls.append("eval"))
+        monkeypatch.setattr(gbgcn, "train", lambda: calls.append("train"))
+        store.score_all_items(np.asarray([0]))
+        store.scores(np.asarray([1]), np.asarray([0, 2]))
+        assert calls == []
+        assert not gbgcn.training
 
     def test_epoch_end_hook_invalidates(self, store):
         store.refresh()
@@ -179,3 +195,123 @@ class TestTopKRecommender:
             recommender = TopKRecommender(store, k=4, dataset=small_split.full)
             result = recommender.recommend(np.asarray([0, 1, 2], dtype=np.int64))
             assert result.items.shape == (3, 4)
+
+
+def reference_top_k(scores, observed, k):
+    """Reference dense top-k: a dense ``np.where`` over ``observed.toarray()``
+    as the mask, then the same partial select and stable sort of the
+    winners as the recommender."""
+    masked = np.where(observed.toarray(), -np.inf, scores)
+    top = np.argpartition(-masked, k - 1, axis=1)[:, :k]
+    rows = np.arange(masked.shape[0])[:, None]
+    items = top[rows, np.argsort(-masked[rows, top], axis=1, kind="stable")]
+    top_scores = masked[rows, items]
+    return np.where(np.isfinite(top_scores), items, -1), top_scores
+
+
+class TestDenseTopKParity:
+    """In-place masking serves exactly the lists the dense ``np.where`` did."""
+
+    K = 10
+    #: A repeated user (0), a user with nothing observed (1) and a user
+    #: with fewer than K unobserved items (2).
+    USERS = np.asarray([0, 1, 2, 0, 7], dtype=np.int64)
+
+    @pytest.fixture(scope="class")
+    def observed(self, small_split):
+        full = small_split.full
+        observed = {user: set(items) for user, items in full.user_item_set(include_participants=True).items()}
+        observed[1] = set()
+        observed[2] = set(range(full.num_items - self.K + 3))
+        return observed_item_matrix(observed, full.num_users, full.num_items)
+
+    @pytest.mark.parametrize("name", SERVABLE_MODEL_NAMES)
+    def test_matches_the_dense_where_reference(self, small_split, observed, name):
+        model = build_model(name, small_split.train, rng=np.random.default_rng(29))
+        store = EmbeddingStore(model)
+        state = {key: value.tobytes() for key, value in model.state_dict().items()}
+        result = TopKRecommender(store, k=self.K, observed_matrix=observed).recommend(self.USERS)
+
+        scores = np.array(store.score_all_items(self.USERS))
+        items, top_scores = reference_top_k(scores, observed[self.USERS], self.K)
+        assert np.array_equal(result.items, items)
+        assert result.scores.tobytes() == top_scores.tobytes()
+        # The winners' scores are the K best of a full stable sort.
+        masked = np.where(observed[self.USERS].toarray(), -np.inf, scores)
+        assert np.array_equal(result.scores, -np.sort(-masked, axis=1, kind="stable")[:, : self.K])
+        assert np.array_equal(result.items[0], result.items[3])
+        unobserved = self.K - 3
+        assert (result.items[2, :unobserved] >= 0).all() and (result.items[2, unobserved:] == -1).all()
+        # Scoring and masking wrote into nothing the model keeps.
+        assert {key: value.tobytes() for key, value in model.state_dict().items()} == state
+
+
+class KeptScoresModel(RecommenderModel):
+    """Serves one-user blocks as writable views of a score table it keeps."""
+
+    def __init__(self, num_users, num_items):
+        super().__init__(num_users, num_items)
+        self.kept = np.arange(num_users * num_items, dtype=np.float64).reshape(num_users, num_items)
+
+    def score_batch(self, users, item_ids=None):
+        (user,) = np.asarray(users, dtype=np.int64)
+        block = self.kept[user : user + 1]
+        return block if item_ids is None else block[:, item_ids]
+
+
+class TestInPlaceMaskEdges:
+    def test_read_only_block_is_masked_on_a_copy(self, small_split):
+        model = build_model("ItemPop", small_split.train)
+        store = EmbeddingStore(model)
+        users = np.asarray([0, 3], dtype=np.int64)
+        assert not store.score_all_items(users).flags.writeable
+        popularity = model.scores.copy()
+        observed = small_split.full.user_item_set(include_participants=True)
+        result = TopKRecommender(store, k=5, dataset=small_split.full).recommend(users)
+        for row, user in enumerate(users):
+            assert not set(result.items[row].tolist()) & observed[int(user)]
+        assert np.array_equal(model.scores, popularity)
+
+    def test_never_writes_into_an_array_the_model_keeps(self):
+        model = KeptScoresModel(num_users=3, num_items=6)
+        kept = model.kept.copy()
+        observed = sp.csr_matrix(np.asarray([[0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 1], [0] * 6], dtype=bool))
+        recommender = TopKRecommender(EmbeddingStore(model), k=6, observed_matrix=observed)
+        assert recommender.recommend_user(1).tolist() == [4, 3, 2, 1]
+        assert np.array_equal(model.kept, kept)
+
+    @staticmethod
+    def _marked(num_users, num_items, user, entries):
+        """A CSR whose row ``user`` stores ``entries`` ((item, value) pairs) as given."""
+        items = np.asarray([item for item, _ in entries], dtype=np.int32)
+        values = np.asarray([value for _, value in entries])
+        indptr = np.zeros(num_users + 1, dtype=np.int32)
+        indptr[user + 1 :] = len(entries)
+        return sp.csr_matrix((values, items, indptr), shape=(num_users, num_items))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(2, True), (5, False)],  # an explicit False is stored, not observed
+            [(2, 1), (5, 1), (5, -1)],  # duplicates summing to zero observe nothing
+        ],
+        ids=["explicit-false", "duplicates-sum-to-zero"],
+    )
+    def test_observed_matrix_masks_what_toarray_marks(self, small_split, entries):
+        model = build_model("MF", small_split.train, rng=np.random.default_rng(2))
+        store = EmbeddingStore(model)
+        num_items = model.num_items
+        observed = self._marked(model.num_users, num_items, 4, entries)
+        stored = (observed.data.copy(), observed.indices.copy(), observed.indptr.copy())
+        assert observed.toarray()[4].nonzero()[0].tolist() == [2]
+
+        dense = TopKRecommender(store, k=num_items, observed_matrix=observed)
+        index = build_index_for_model(model, num_cells=2, nprobe=2)
+        shortlist = TopKRecommender(store, k=num_items, observed_matrix=observed, retriever=index)
+        for recommender in (dense, shortlist):
+            items = recommender.recommend_user(4).tolist()
+            assert 2 not in items and 5 in items
+            assert len(items) == num_items - 1
+        # The caller's matrix is left exactly as it was passed.
+        for before, after in zip(stored, (observed.data, observed.indices, observed.indptr)):
+            assert np.array_equal(before, after)
