@@ -29,6 +29,10 @@ attempted ones and the runs whose output checks failed.
 Usage::
 
     python benchmarks/compare_pairs.py --parent parent/*.txt --change change/*.txt
+
+The exit status is 1 when the comparison fails (a ``regression`` verdict,
+an incorrect change run, or a larger failed share on the change side), 2
+when no ``(workload, seed)`` pair was run on both sides, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -80,6 +84,12 @@ class WorkloadReport:
     attempted: Tuple[int, int]
     incorrect: Tuple[int, int]
     rows: List[MetricRow] = field(default_factory=list)
+
+    @property
+    def failed_comparison(self) -> bool:
+        """A regression verdict, an incorrect change run or a risen failed share."""
+        regressed = any(row.verdict == "regression" for row in self.rows)
+        return regressed or self.incorrect[1] > 0 or self.failure_share_rose
 
     @property
     def failure_share_rose(self) -> bool:
@@ -224,9 +234,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reports = compare(read_runs(args.parent), read_runs(args.change), end_to_end)
     if not reports:
         print("no (workload, seed) pair was run on both sides", file=sys.stderr)
-        return 1
+        return 2
     print(format_report(reports))
-    return 0
+    return 1 if any(report.failed_comparison for report in reports) else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """The paper's primary contribution: GBGCN and its components."""
 
 from .propagation import CrossViewPropagation, InViewPropagation, ViewEmbeddings
-from .prediction import RoleWeightedPredictor
+from .prediction import RoleWeightedPredictor, role_weighted_factors
 from .loss import DoublePairwiseLoss
 from .gbgcn import GBGCN, GBGCNConfig
 from .pretrain import GBGCNPretrainModel, transfer_pretrained_embeddings
@@ -12,6 +12,7 @@ __all__ = [
     "InViewPropagation",
     "ViewEmbeddings",
     "RoleWeightedPredictor",
+    "role_weighted_factors",
     "DoublePairwiseLoss",
     "GBGCN",
     "GBGCNConfig",

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..training.batches import GroupBuyingBatch
 from .loss import DoublePairwiseLoss
-from .prediction import RoleWeightedPredictor
+from .prediction import RoleWeightedPredictor, role_weighted_factors
 from .propagation import CrossViewPropagation, InViewPropagation, ViewEmbeddings
 
 __all__ = ["GBGCNConfig", "GBGCN"]
@@ -107,7 +107,6 @@ class GBGCN(RecommenderModel):
         self._social_normalized: sp.csr_matrix = graph.friendship.normalized()
         self.predictor = RoleWeightedPredictor(self._social_normalized, alpha=config.alpha)
         self.loss_function = DoublePairwiseLoss(beta=config.beta)
-        self._eval_cache: Optional[Dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Forward pass
@@ -190,70 +189,26 @@ class GBGCN(RecommenderModel):
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def prepare_for_evaluation(self) -> None:
-        with no_grad():
-            embeddings = self.propagate()
-            friend_average = self.predictor.friend_average(embeddings.user_participant)
-            self._eval_cache = {
-                "user_initiator": embeddings.user_initiator.data,
-                "item_initiator": embeddings.item_initiator.data,
-                "user_participant": embeddings.user_participant.data,
-                "item_participant": embeddings.item_participant.data,
-                "friend_average": friend_average.data,
-            }
-
-    def invalidate_cache(self) -> None:
-        self._eval_cache = None
-
-    def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        cache = self._eval_cache
-        return self.predictor.score_candidates(
-            user,
-            item_ids,
-            cache["user_initiator"],
-            cache["item_initiator"],
-            cache["friend_average"],
-            cache["item_participant"],
+    def compute_scoring_factors(self):
+        embeddings = self.propagate()
+        friend_average = self.predictor.friend_average(embeddings.user_participant)
+        return role_weighted_factors(
+            self.predictor.alpha,
+            embeddings.user_initiator.data,
+            friend_average.data,
+            embeddings.item_initiator.data,
+            embeddings.item_participant.data,
         )
-
-    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        cache = self._eval_cache
-        return self.predictor.score_candidates_batch(
-            users,
-            item_ids,
-            cache["user_initiator"],
-            cache["item_initiator"],
-            cache["friend_average"],
-            cache["item_participant"],
-        )
-
-    def scoring_factors(self):
-        # Eq. 9 is linear in the two item views, so it folds into one
-        # concatenated inner product: [(1-a)*u_init, a*friend_avg(u_part)]
-        # against [v_init, v_part].
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        cache = self._eval_cache
-        alpha = self.predictor.alpha
-        user_factors = np.hstack(
-            [(1.0 - alpha) * cache["user_initiator"], alpha * cache["friend_average"]]
-        )
-        item_factors = np.hstack([cache["item_initiator"], cache["item_participant"]])
-        return user_factors, item_factors
 
     def final_embeddings(self) -> Dict[str, np.ndarray]:
         """Final per-view user/item embeddings as NumPy arrays (Figures 5-6)."""
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
+        with no_grad():
+            embeddings = self.propagate()
         return {
-            "user_initiator": self._eval_cache["user_initiator"],
-            "item_initiator": self._eval_cache["item_initiator"],
-            "user_participant": self._eval_cache["user_participant"],
-            "item_participant": self._eval_cache["item_participant"],
+            "user_initiator": embeddings.user_initiator.data,
+            "item_initiator": embeddings.item_initiator.data,
+            "user_participant": embeddings.user_participant.data,
+            "item_participant": embeddings.item_participant.data,
         }
 
     @property

@@ -4,19 +4,42 @@ The score of user ``m`` launching a successful group for item ``n`` blends
 (1) the initiator-view affinity between ``m`` and ``n`` and (2) the average
 participant-view affinity between ``m``'s friends and ``n``, weighted by the
 role coefficient ``alpha``.
+
+Training scores with :class:`RoleWeightedPredictor` (differentiable, per
+sampled pair).  Evaluation and serving score with
+:func:`role_weighted_factors`: the blend is linear in the two item views,
+so it folds into one inner product of concatenated factors — the single
+score definition GBGCN, GBGCN-pretrain and GBMF hand to
+:class:`~repro.models.base.RecommenderModel`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..autograd import Tensor, cache_transpose, gathered_dot_difference, sparse_matmul
-from ..models.base import item_rows
 
-__all__ = ["RoleWeightedPredictor"]
+__all__ = ["RoleWeightedPredictor", "role_weighted_factors"]
+
+
+def role_weighted_factors(
+    alpha: float,
+    user_initiator: np.ndarray,
+    friend_average_participant: np.ndarray,
+    item_initiator: np.ndarray,
+    item_participant: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. 9 as one ``(user_factors, item_factors)`` pair.
+
+    ``(1-alpha) * <u_i, v_i> + alpha * <f, v_p>`` equals
+    ``<[(1-alpha) * u_i, alpha * f], [v_i, v_p]>``, so the score block of
+    any users and items is one matrix product of the concatenated factors.
+    """
+    user_factors = np.hstack([(1.0 - alpha) * user_initiator, alpha * friend_average_participant])
+    return user_factors, np.hstack([item_initiator, item_participant])
 
 
 class RoleWeightedPredictor:
@@ -81,43 +104,3 @@ class RoleWeightedPredictor:
             friend_average_participant, item_participant, users, positive_items, negative_items
         )
         return own * (1.0 - self.alpha) + friends * self.alpha
-
-    # ------------------------------------------------------------------
-    # NumPy scoring (evaluation)
-    # ------------------------------------------------------------------
-    def score_candidates(
-        self,
-        user: int,
-        item_ids: np.ndarray,
-        user_initiator: np.ndarray,
-        item_initiator: np.ndarray,
-        friend_average_participant: np.ndarray,
-        item_participant: np.ndarray,
-    ) -> np.ndarray:
-        """Gradient-free scores of a candidate item array for one user."""
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        own = item_initiator[item_ids] @ user_initiator[user]
-        friends = item_participant[item_ids] @ friend_average_participant[user]
-        return (1.0 - self.alpha) * own + self.alpha * friends
-
-    def score_candidates_batch(
-        self,
-        users: np.ndarray,
-        item_ids: Optional[np.ndarray],
-        user_initiator: np.ndarray,
-        item_initiator: np.ndarray,
-        friend_average_participant: np.ndarray,
-        item_participant: np.ndarray,
-    ) -> np.ndarray:
-        """Gradient-free ``(len(users), len(item_ids))`` score block.
-
-        Two matrix-matrix products over the cached propagated embeddings
-        replace ``len(users)`` matrix-vector products of
-        :meth:`score_candidates` — the serving/batched-evaluation hot path.
-        ``item_ids=None`` scores every item against the two item views in
-        place (:func:`~repro.models.base.item_rows`), copying neither.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        own = user_initiator[users] @ item_rows(item_initiator, item_ids).T
-        friends = friend_average_participant[users] @ item_rows(item_participant, item_ids).T
-        return (1.0 - self.alpha) * own + self.alpha * friends

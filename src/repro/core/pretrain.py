@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, no_grad
+from ..autograd import Tensor
 from ..graph.hetero import HeteroGroupBuyingGraph
 from ..models.base import DataMode, RecommenderModel
 from ..nn import Embedding
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from ..training.batches import GroupBuyingBatch
 from .gbgcn import GBGCN, GBGCNConfig
 from .loss import DoublePairwiseLoss
-from .prediction import RoleWeightedPredictor
+from .prediction import RoleWeightedPredictor, role_weighted_factors
 
 __all__ = ["GBGCNPretrainModel", "transfer_pretrained_embeddings"]
 
@@ -55,7 +55,6 @@ class GBGCNPretrainModel(RecommenderModel):
         self._social_normalized: sp.csr_matrix = graph.friendship.normalized()
         self.predictor = RoleWeightedPredictor(self._social_normalized, alpha=config.alpha)
         self.loss_function = DoublePairwiseLoss(beta=config.beta)
-        self._eval_cache: Optional[np.ndarray] = None
 
     def batch_loss(self, batch: GroupBuyingBatch) -> Tensor:
         friend_average = self.predictor.friend_average(self.user_embedding.weight)
@@ -78,54 +77,24 @@ class GBGCNPretrainModel(RecommenderModel):
         ) * (1.0 / max(len(batch), 1))
         return loss + regularizer
 
-    def prepare_for_evaluation(self) -> None:
-        with no_grad():
-            self._eval_cache = self.predictor.friend_average(self.user_embedding.weight).data
-
-    def invalidate_cache(self) -> None:
-        self._eval_cache = None
-
-    def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        return self.predictor.score_candidates(
-            user,
-            item_ids,
-            self.user_embedding.weight.data,
-            self.item_embedding.weight.data,
-            self._eval_cache,
-            self.item_embedding.weight.data,
-        )
-
-    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        return self.predictor.score_candidates_batch(
-            users,
-            item_ids,
-            self.user_embedding.weight.data,
-            self.item_embedding.weight.data,
-            self._eval_cache,
-            self.item_embedding.weight.data,
-        )
-
-    def scoring_factors(self):
-        # Same linear fold as GBGCN's Eq. 9, over the raw (un-propagated)
-        # embeddings the pretrain stage scores with — both item views share
-        # one table here.
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        alpha = self.predictor.alpha
+    def compute_scoring_factors(self):
+        # GBGCN's Eq. 9 fold over the raw (un-propagated) embeddings the
+        # pretrain stage scores with; both item views share one table here.
+        friend_average = self.predictor.friend_average(self.user_embedding.weight)
         item_vectors = self.item_embedding.weight.data
-        user_factors = np.hstack(
-            [(1.0 - alpha) * self.user_embedding.weight.data, alpha * self._eval_cache]
+        return role_weighted_factors(
+            self.predictor.alpha,
+            self.user_embedding.weight.data,
+            friend_average.data,
+            item_vectors,
+            item_vectors,
         )
-        return user_factors, np.hstack([item_vectors, item_vectors])
 
     def normalize_embeddings(self) -> None:
         """L2-normalize the raw embeddings, as the paper does before fine-tuning."""
         self.user_embedding.normalize_()
         self.item_embedding.normalize_()
+        self.invalidate_cache()
 
     @property
     def name(self) -> str:

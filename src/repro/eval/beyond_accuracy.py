@@ -20,6 +20,7 @@ import numpy as np
 
 from ..data.dataset import GroupBuyingDataset
 from ..models.base import RecommenderModel
+from ..nn import eval_mode
 
 __all__ = [
     "auc_from_rank",
@@ -74,13 +75,12 @@ def catalog_coverage(
     exclude_per_user: Optional[Dict[int, Set[int]]] = None,
 ) -> float:
     """Fraction of the catalog recommended to at least one user in top-``k``."""
-    model.eval()
-    model.prepare_for_evaluation()
     recommended: Set[int] = set()
-    for user in users:
-        exclude = exclude_per_user.get(user) if exclude_per_user else None
-        recommended.update(int(i) for i in top_k_items(model, int(user), k, num_items, exclude))
-    model.train()
+    with eval_mode(model):
+        model.prepare_for_evaluation()
+        for user in users:
+            exclude = exclude_per_user.get(user) if exclude_per_user else None
+            recommended.update(int(i) for i in top_k_items(model, int(user), k, num_items, exclude))
     if num_items == 0:
         return 0.0
     return len(recommended) / num_items
@@ -101,13 +101,12 @@ def average_recommendation_popularity(
     for behavior in train_dataset.behaviors:
         counts[behavior.item] += 1.0 + len(behavior.participants)
 
-    model.eval()
-    model.prepare_for_evaluation()
     popularity_values = []
-    for user in users:
-        items = top_k_items(model, int(user), k, train_dataset.num_items)
-        popularity_values.append(counts[items].mean())
-    model.train()
+    with eval_mode(model):
+        model.prepare_for_evaluation()
+        for user in users:
+            items = top_k_items(model, int(user), k, train_dataset.num_items)
+            popularity_values.append(counts[items].mean())
     if not popularity_values:
         return 0.0
     return float(np.mean(popularity_values))

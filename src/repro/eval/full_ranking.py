@@ -36,6 +36,7 @@ import scipy.sparse as sp
 from ..data.dataset import observed_item_matrix, observed_positions
 from ..data.splits import DatasetSplit
 from ..models.base import RecommenderModel
+from ..nn import eval_mode
 from .metrics import MetricAccumulator
 from .protocol import EvaluationResult
 
@@ -98,17 +99,16 @@ class FullRankingEvaluator:
     # ------------------------------------------------------------------
     def _evaluate_holdout_loop(self, model: RecommenderModel, holdout: Dict) -> EvaluationResult:
         accumulator = MetricAccumulator(cutoffs=self.cutoffs)
-        model.eval()
-        model.prepare_for_evaluation()
-        for user in sorted(holdout):
-            behavior = holdout[user]
-            candidates = self._candidates(user, behavior.item)
-            scores = np.asarray(model.rank_scores(user, candidates), dtype=np.float64)
-            positive_score = scores[0]
-            better = int(np.sum(scores > positive_score))
-            ties = int(np.sum(scores == positive_score)) - 1
-            accumulator.add(better + ties)
-        model.train()
+        with eval_mode(model):
+            model.prepare_for_evaluation()
+            for user in sorted(holdout):
+                behavior = holdout[user]
+                candidates = self._candidates(user, behavior.item)
+                scores = np.asarray(model.rank_scores(user, candidates), dtype=np.float64)
+                positive_score = scores[0]
+                better = int(np.sum(scores > positive_score))
+                ties = int(np.sum(scores == positive_score)) - 1
+                accumulator.add(better + ties)
         return EvaluationResult(
             metrics=accumulator.results(),
             ranks=np.asarray(accumulator.ranks),
@@ -120,35 +120,34 @@ class FullRankingEvaluator:
     # ------------------------------------------------------------------
     def _evaluate_holdout_batched(self, model: RecommenderModel, holdout: Dict) -> EvaluationResult:
         accumulator = MetricAccumulator(cutoffs=self.cutoffs)
-        model.eval()
-        model.prepare_for_evaluation()
-        users = np.asarray(sorted(holdout), dtype=np.int64)
-        positives = np.asarray([holdout[int(user)].item for user in users], dtype=np.int64)
-        observed_csr = self._observed_csr() if self.exclude_observed else None
+        with eval_mode(model):
+            model.prepare_for_evaluation()
+            users = np.asarray(sorted(holdout), dtype=np.int64)
+            positives = np.asarray([holdout[int(user)].item for user in users], dtype=np.int64)
+            observed_csr = self._observed_csr() if self.exclude_observed else None
 
-        for start in range(0, users.size, self.batch_size):
-            block_users = users[start : start + self.batch_size]
-            block_positives = positives[start : start + self.batch_size]
-            scores = np.asarray(model.score_all_items(block_users), dtype=np.float64)
-            block_rows = np.arange(block_users.size)
-            positive_scores = scores[block_rows, block_positives]
+            for start in range(0, users.size, self.batch_size):
+                block_users = users[start : start + self.batch_size]
+                block_positives = positives[start : start + self.batch_size]
+                scores = np.asarray(model.score_all_items(block_users), dtype=np.float64)
+                block_rows = np.arange(block_users.size)
+                positive_scores = scores[block_rows, block_positives]
 
-            if observed_csr is not None:
-                rows, items = observed_positions(observed_csr, block_users)
-                excluded = np.zeros(scores.shape, dtype=bool)
-                excluded[rows, items] = True
-                # The positive itself is always ranked, even when observed.
-                excluded[block_rows, block_positives] = False
-                valid = ~excluded
-                better = ((scores > positive_scores[:, None]) & valid).sum(axis=1)
-                # The positive compares equal to itself, hence the -1.
-                ties = ((scores == positive_scores[:, None]) & valid).sum(axis=1) - 1
-            else:
-                better = (scores > positive_scores[:, None]).sum(axis=1)
-                ties = (scores == positive_scores[:, None]).sum(axis=1) - 1
-            accumulator.extend((better + ties).tolist())
+                if observed_csr is not None:
+                    rows, items = observed_positions(observed_csr, block_users)
+                    excluded = np.zeros(scores.shape, dtype=bool)
+                    excluded[rows, items] = True
+                    # The positive itself is always ranked, even when observed.
+                    excluded[block_rows, block_positives] = False
+                    valid = ~excluded
+                    better = ((scores > positive_scores[:, None]) & valid).sum(axis=1)
+                    # The positive compares equal to itself, hence the -1.
+                    ties = ((scores == positive_scores[:, None]) & valid).sum(axis=1) - 1
+                else:
+                    better = (scores > positive_scores[:, None]).sum(axis=1)
+                    ties = (scores == positive_scores[:, None]).sum(axis=1) - 1
+                accumulator.extend((better + ties).tolist())
 
-        model.train()
         return EvaluationResult(
             metrics=accumulator.results(),
             ranks=np.asarray(accumulator.ranks),

@@ -15,6 +15,7 @@ import numpy as np
 from ..data.negative_sampling import EvaluationCandidateSampler
 from ..data.splits import DatasetSplit
 from ..models.base import RecommenderModel
+from ..nn import eval_mode
 from .metrics import MetricAccumulator, rank_of_positive
 
 __all__ = ["EvaluationResult", "LeaveOneOutEvaluator"]
@@ -52,14 +53,13 @@ class LeaveOneOutEvaluator:
 
     def _evaluate_holdout(self, model: RecommenderModel, holdout: Dict) -> EvaluationResult:
         accumulator = MetricAccumulator(cutoffs=self.cutoffs)
-        model.eval()
-        model.prepare_for_evaluation()
-        for user in sorted(holdout):
-            behavior = holdout[user]
-            candidates = self.candidate_sampler.candidates_for(user, behavior.item)
-            scores = model.rank_scores(user, candidates)
-            accumulator.add(rank_of_positive(scores, positive_index=0))
-        model.train()
+        with eval_mode(model):
+            model.prepare_for_evaluation()
+            for user in sorted(holdout):
+                behavior = holdout[user]
+                candidates = self.candidate_sampler.candidates_for(user, behavior.item)
+                scores = model.rank_scores(user, candidates)
+                accumulator.add(rank_of_positive(scores, positive_index=0))
         return EvaluationResult(
             metrics=accumulator.results(),
             ranks=np.asarray(accumulator.ranks),

@@ -5,18 +5,24 @@ The trainer and the evaluator only rely on this interface:
 * ``data_mode``     — which batch format the model consumes (pure user-item
   interactions, group-buying behaviors, or fixed groups);
 * ``batch_loss``    — differentiable loss for one mini-batch;
+* ``compute_scoring_factors`` — the one score definition of an
+  inner-product model: a ``(user_factors, item_factors)`` pair whose inner
+  products are the model's scores (GBGCN's Eq. 9 blend folds into one such
+  pair, :func:`repro.core.prediction.role_weighted_factors`);
 * ``rank_scores``   — gradient-free scores for one user over a candidate
   item array (used by the leave-one-out protocol);
 * ``score_batch`` / ``score_all_items`` — gradient-free scores for a
   *block* of users at once (used by the batched full-ranking evaluator and
-  the serving layer); the base class falls back to per-user ``rank_scores``
-  so every model works, and embedding models override it with one
-  matrix-matrix product over their cached propagated embeddings.
+  the serving layer).  For a model with scoring factors the base class
+  derives ``score_batch``, ``rank_scores`` and ``scoring_factors`` from the
+  cached pair, so dense serving, retrieval rescoring and both evaluator
+  paths share one formula; models without factors (NCF, ItemKNN, AGREE,
+  SIGR) implement ``rank_scores`` and, optionally, ``score_batch``.
   ``item_ids=None`` means the whole catalog: item tables are then read in
   place through :func:`item_rows` instead of being gathered row by row;
-* ``prepare_for_evaluation`` / ``invalidate_cache`` — hooks that let graph
-  models propagate embeddings once per evaluation pass instead of once per
-  scored user;
+* ``prepare_for_evaluation`` / ``invalidate_cache`` — cache the factor pair
+  (propagating graph models once per evaluation pass instead of once per
+  scored user) and drop it after the parameters change;
 * ``state_dict`` / ``load_state_dict`` — the full serialization contract
   used by the artifact layer (:mod:`repro.persist`): trainable parameters
   plus any non-parameter state a model scores with (``extra_state`` /
@@ -27,11 +33,11 @@ The trainer and the evaluator only rely on this interface:
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_grad
 from ..nn import Module, l2_regularization
 
 __all__ = ["DataMode", "RecommenderModel", "EXTRA_STATE_PREFIX", "item_rows"]
@@ -96,33 +102,83 @@ class RecommenderModel(Module):
     # ------------------------------------------------------------------
     # Evaluation interface
     # ------------------------------------------------------------------
+    #: The cached :meth:`compute_scoring_factors` pair; ``None`` until
+    #: prepared and after :meth:`invalidate_cache`.
+    _eval_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def compute_scoring_factors(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """This model's score as one inner product, from the current parameters.
+
+        Inner-product models return a ``(user_factors, item_factors)`` pair
+        of dense float64 arrays: the score of item ``i`` for user ``u`` is
+        ``user_factors[u] @ item_factors[i]``.  This hook is the model's
+        only score definition; the base class caches its result and derives
+        :meth:`score_batch`, :meth:`rank_scores` and
+        :meth:`scoring_factors` from it.  Models with a non-linear score
+        (NCF's MLP, ItemKNN's sparse neighbourhood, attention models) keep
+        the default ``None`` and implement :meth:`rank_scores` themselves.
+        """
+        return None
+
     def prepare_for_evaluation(self) -> None:
-        """Cache whatever full-graph state scoring needs (optional)."""
+        """Compute and cache the scoring factors (and any other scoring state)."""
+        self._eval_cache = None
+        self.scoring_factors()
 
     def invalidate_cache(self) -> None:
-        """Drop evaluation caches after parameters changed (optional)."""
+        """Drop evaluation caches after parameters changed."""
+        self._eval_cache = None
+
+    def scoring_factors(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The cached ``(user_factors, item_factors)`` pair, or ``None``.
+
+        ``score_batch(users, items)`` equals
+        ``user_factors[users] @ item_factors[items].T`` by construction —
+        it is that product.  The serving layer builds approximate-
+        nearest-neighbour retrieval indexes (:mod:`repro.serving.retrieval`)
+        over ``item_factors``, so top-k requests can shortlist a few
+        hundred candidates instead of scoring the whole catalog, and
+        rescores the shortlist through the same product.  Models without
+        factors return ``None`` without computing anything, and the serving
+        layer falls back to exact brute-force scoring for them.
+        """
+        if self._eval_cache is None:
+            with no_grad():
+                self._eval_cache = self.compute_scoring_factors()
+        return self._eval_cache
 
     def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        """Scores of ``item_ids`` for ``user`` as a plain NumPy array."""
-        raise NotImplementedError
+        """Scores of ``item_ids`` for ``user`` as a plain NumPy array.
+
+        For a model with scoring factors this is row 0 of a one-user
+        :meth:`score_batch`; models without factors override it.
+        """
+        if self.scoring_factors() is None:
+            raise NotImplementedError(f"{self.name} has no scoring factors and no rank_scores")
+        return self.score_batch(np.asarray([user], dtype=np.int64), item_ids)[0]
 
     def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         """Score a block of users against a block of items.
 
         Returns a ``(len(users), len(item_ids))`` float64 array where row
         ``i`` holds the scores of ``item_ids`` for ``users[i]``.
-        ``item_ids=None`` means every item in ID order: overrides read
-        their item tables in place through :func:`item_rows` rather than
-        gathering them, and the bytes equal those of
-        ``score_batch(users, np.arange(num_items))``.  The base
-        implementation loops over ``rank_scores`` so any model is batchable;
-        embedding-based models override it with a single matrix product.
+        ``item_ids=None`` means every item in ID order: the item factors
+        are read in place through :func:`item_rows` rather than gathered,
+        and the bytes equal those of
+        ``score_batch(users, np.arange(num_items))``.  For a model with
+        scoring factors the block is ``user_factors[users] @
+        item_factors[item_ids].T``; otherwise the base implementation loops
+        over ``rank_scores`` so any model is batchable.
 
         The result is either a new array the caller may write, or a
         read-only view (e.g. ItemPop broadcasts its popularity vector
         across users) — copy before mutating a read-only result in place.
         """
         users = np.asarray(users, dtype=np.int64)
+        factors = self.scoring_factors()
+        if factors is not None:
+            user_factors, item_factors = factors
+            return user_factors[users] @ item_rows(item_factors, item_ids).T
         if item_ids is None:
             item_ids = np.arange(self.num_items, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
@@ -137,30 +193,10 @@ class RecommenderModel(Module):
 
         The whole-catalog case of :meth:`score_batch` (``item_ids=None``):
         no item table is copied, and the bytes equal those of
-        ``score_batch(users, np.arange(num_items))``.  Models override
-        ``score_batch``, never this method.
+        ``score_batch(users, np.arange(num_items))``.  Models never
+        override this method.
         """
         return self.score_batch(users)
-
-    def scoring_factors(self):
-        """Optional inner-product decomposition of this model's scores.
-
-        Models whose score is a plain inner product return a
-        ``(user_factors, item_factors)`` pair of dense arrays such that
-        ``score_batch(users, items)`` equals
-        ``user_factors[users] @ item_factors[items].T`` (up to fp
-        accumulation order).  The serving layer builds approximate-
-        nearest-neighbour retrieval indexes (:mod:`repro.serving.retrieval`)
-        over ``item_factors``, so top-k requests can shortlist a few
-        hundred candidates instead of scoring the whole catalog.
-
-        Models with a non-linear score (NCF's MLP, ItemKNN's sparse
-        neighbourhood, attention models) return ``None`` — the serving
-        layer falls back to exact brute-force scoring for them.
-        Implementations may rely on cached propagated embeddings and must
-        prepare them if missing, mirroring ``score_batch``.
-        """
-        return None
 
     # ------------------------------------------------------------------
     # Serialization contract (used by repro.persist)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, no_grad, sparse_matmul
+from ..autograd import Tensor, sparse_matmul
 from ..graph.bipartite import BipartiteGraph
 from ..graph.social import FriendshipGraph
 from ..nn import Embedding, bpr_loss
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
-from .base import DataMode, RecommenderModel, item_rows
+from .base import DataMode, RecommenderModel
 
 __all__ = ["DiffNet"]
 
@@ -57,7 +57,6 @@ class DiffNet(RecommenderModel):
         self.item_embedding = Embedding(num_items, embedding_dim, rng=rng)
         self._social_normalized: sp.csr_matrix = friendship.normalized()
         self._user_to_item: sp.csr_matrix = interaction_graph.user_to_item_propagation()
-        self._eval_users: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Diffusion
@@ -92,30 +91,8 @@ class DiffNet(RecommenderModel):
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def prepare_for_evaluation(self) -> None:
-        with no_grad():
-            self._eval_users = self.diffuse_users().data
-
-    def invalidate_cache(self) -> None:
-        self._eval_users = None
-
-    def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        if self._eval_users is None:
-            self.prepare_for_evaluation()
-        user_vector = self._eval_users[user]
-        item_vectors = self.item_embedding.weight.data[np.asarray(item_ids, dtype=np.int64)]
-        return item_vectors @ user_vector
-
-    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        if self._eval_users is None:
-            self.prepare_for_evaluation()
-        user_vectors = self._eval_users[np.asarray(users, dtype=np.int64)]
-        return user_vectors @ item_rows(self.item_embedding.weight.data, item_ids).T
-
-    def scoring_factors(self):
-        if self._eval_users is None:
-            self.prepare_for_evaluation()
-        return self._eval_users, self.item_embedding.weight.data
+    def compute_scoring_factors(self):
+        return self.diffuse_users().data, self.item_embedding.weight.data
 
     @property
     def name(self) -> str:

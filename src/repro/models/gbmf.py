@@ -14,14 +14,15 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, no_grad, sparse_matmul
+from ..autograd import Tensor, sparse_matmul
+from ..core.prediction import role_weighted_factors
 from ..graph.social import FriendshipGraph
 from ..nn import Embedding, bpr_loss
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..training.batches import GroupBuyingBatch
-from .base import DataMode, RecommenderModel, item_rows
+from .base import DataMode, RecommenderModel
 
 __all__ = ["GBMF"]
 
@@ -52,7 +53,6 @@ class GBMF(RecommenderModel):
         self.user_embedding = Embedding(num_users, embedding_dim, rng=rng)
         self.item_embedding = Embedding(num_items, embedding_dim, rng=rng)
         self._social_normalized: sp.csr_matrix = friendship.normalized()
-        self._eval_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Scoring
@@ -86,41 +86,16 @@ class GBMF(RecommenderModel):
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def prepare_for_evaluation(self) -> None:
-        with no_grad():
-            self._eval_cache = self.friend_average_users().data
-
-    def invalidate_cache(self) -> None:
-        self._eval_cache = None
-
-    def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        item_vectors = self.item_embedding.weight.data[item_ids]
-        own = item_vectors @ self.user_embedding.weight.data[user]
-        friends = item_vectors @ self._eval_cache[user]
-        return (1.0 - self.alpha) * own + self.alpha * friends
-
-    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        users = np.asarray(users, dtype=np.int64)
-        item_vectors = item_rows(self.item_embedding.weight.data, item_ids)
-        own = self.user_embedding.weight.data[users] @ item_vectors.T
-        friends = self._eval_cache[users] @ item_vectors.T
-        return (1.0 - self.alpha) * own + self.alpha * friends
-
-    def scoring_factors(self):
-        # The role blend is linear, so it folds into a concatenated factor
-        # pair: [(1-a)*u, a*friend_avg(u)] · [v, v].
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
+    def compute_scoring_factors(self):
+        # The same Eq. 9 fold as GBGCN, with one item table for both views.
         item_vectors = self.item_embedding.weight.data
-        user_factors = np.hstack(
-            [(1.0 - self.alpha) * self.user_embedding.weight.data, self.alpha * self._eval_cache]
+        return role_weighted_factors(
+            self.alpha,
+            self.user_embedding.weight.data,
+            self.friend_average_users().data,
+            item_vectors,
+            item_vectors,
         )
-        return user_factors, np.hstack([item_vectors, item_vectors])
 
     @property
     def name(self) -> str:

@@ -19,10 +19,10 @@ from typing import List, Optional, TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, concat, gathered_dot_difference, no_grad, sparse_matmul
+from ..autograd import Tensor, concat, gathered_dot_difference, sparse_matmul
 from ..graph.bipartite import BipartiteGraph
 from ..nn import Embedding, bpr_difference_loss
-from .base import DataMode, RecommenderModel, item_rows
+from .base import DataMode, RecommenderModel
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
@@ -56,7 +56,6 @@ class LightGCN(RecommenderModel):
         self.user_embedding = Embedding(num_users, embedding_dim, rng=rng)
         self.item_embedding = Embedding(num_items, embedding_dim, rng=rng)
         self._propagation: sp.csr_matrix = graph.symmetric_normalized()
-        self._eval_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Embedding propagation
@@ -103,32 +102,9 @@ class LightGCN(RecommenderModel):
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def prepare_for_evaluation(self) -> None:
-        with no_grad():
-            self._eval_cache = self.propagate().data
-
-    def invalidate_cache(self) -> None:
-        self._eval_cache = None
-
-    def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        embeddings = self._eval_cache
-        user_vector = embeddings[user]
-        item_vectors = embeddings[self.num_users + np.asarray(item_ids, dtype=np.int64)]
-        return item_vectors @ user_vector
-
-    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        embeddings = self._eval_cache
-        user_vectors = embeddings[np.asarray(users, dtype=np.int64)]
-        return user_vectors @ item_rows(embeddings[self.num_users :], item_ids).T
-
-    def scoring_factors(self):
-        if self._eval_cache is None:
-            self.prepare_for_evaluation()
-        return self._eval_cache[: self.num_users], self._eval_cache[self.num_users :]
+    def compute_scoring_factors(self):
+        embeddings = self.propagate().data
+        return embeddings[: self.num_users], embeddings[self.num_users :]
 
     @property
     def name(self) -> str:

@@ -14,13 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
+from ..autograd import Tensor
 from ..nn import Embedding, bpr_loss
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
-from .base import DataMode, RecommenderModel, item_rows
+from .base import DataMode, RecommenderModel
 
 __all__ = ["MatrixFactorization"]
 
@@ -73,17 +73,7 @@ class MatrixFactorization(RecommenderModel):
         ) * (1.0 / max(len(batch), 1))
         return loss + regularizer
 
-    def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        with no_grad():
-            user_vector = self.user_embedding.weight.data[user]
-            item_vectors = self.item_embedding.weight.data[np.asarray(item_ids, dtype=np.int64)]
-            return item_vectors @ user_vector
-
-    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        user_vectors = self.user_embedding.weight.data[np.asarray(users, dtype=np.int64)]
-        return user_vectors @ item_rows(self.item_embedding.weight.data, item_ids).T
-
-    def scoring_factors(self):
+    def compute_scoring_factors(self):
         return self.user_embedding.weight.data, self.item_embedding.weight.data
 
     @property

@@ -49,22 +49,16 @@ class ItemPopularity(RecommenderModel):
         # The model has no trainable parameters; training it is a no-op.
         return Tensor(0.0)
 
-    def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        return self.scores[np.asarray(item_ids, dtype=np.int64)]
-
     def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
         users = np.asarray(users, dtype=np.int64)
         row = item_rows(self.scores, item_ids)
         # Read-only view: every row is the same array, with zero copies.
         return np.broadcast_to(row, (users.size, row.size))
 
-    def scoring_factors(self):
+    def compute_scoring_factors(self):
         # Popularity is user-independent: a constant 1-dim user factor
         # against the popularity column reproduces every score.
-        return (
-            np.ones((self.num_users, 1), dtype=np.float64),
-            self.scores.reshape(-1, 1).astype(np.float64),
-        )
+        return np.ones((self.num_users, 1), dtype=np.float64), self.scores.reshape(-1, 1)
 
     # ------------------------------------------------------------------
     # Serialization: the popularity vector is the entire model.

@@ -65,7 +65,7 @@ class SIGR(RecommenderModel):
             member_group.extend([group_index] * len(member_array))
         self._members = np.asarray(members, dtype=np.int64)
         self._member_group = np.asarray(member_group, dtype=np.int64)
-        self._eval_cache: Optional[np.ndarray] = None
+        self._group_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Representations
@@ -117,10 +117,10 @@ class SIGR(RecommenderModel):
     # ------------------------------------------------------------------
     def prepare_for_evaluation(self) -> None:
         with no_grad():
-            self._eval_cache = self.group_representations().data
+            self._group_cache = self.group_representations().data
 
     def invalidate_cache(self) -> None:
-        self._eval_cache = None
+        self._group_cache = None
 
     def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
         item_ids = np.asarray(item_ids, dtype=np.int64)
@@ -128,13 +128,13 @@ class SIGR(RecommenderModel):
         if group < 0:
             user_vector = self.user_embedding.weight.data[user]
             return self.item_embedding.weight.data[item_ids] @ user_vector
-        if self._eval_cache is None:
+        if self._group_cache is None:
             self.prepare_for_evaluation()
-        group_vector = self._eval_cache[group]
+        group_vector = self._group_cache[group]
         return self.item_embedding.weight.data[item_ids] @ group_vector
 
     def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        if self._eval_cache is None:
+        if self._group_cache is None:
             self.prepare_for_evaluation()
         users = np.asarray(users, dtype=np.int64)
         # Each user scores with their group's representation; cold users
@@ -144,7 +144,7 @@ class SIGR(RecommenderModel):
         query_vectors = self.user_embedding.weight.data[users].copy()
         grouped = groups >= 0
         if grouped.any():
-            query_vectors[grouped] = self._eval_cache[groups[grouped]]
+            query_vectors[grouped] = self._group_cache[groups[grouped]]
         return query_vectors @ item_rows(self.item_embedding.weight.data, item_ids).T
 
     @property

@@ -1,6 +1,6 @@
 """Neural-network building blocks (modules, layers, initializers, losses)."""
 
-from .module import Module, Parameter
+from .module import Module, Parameter, eval_mode
 from .layers import (
     AttentionPooling,
     Dropout,
@@ -23,6 +23,7 @@ from . import init
 __all__ = [
     "Module",
     "Parameter",
+    "eval_mode",
     "MLP",
     "Dropout",
     "Embedding",

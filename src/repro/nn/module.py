@@ -8,13 +8,14 @@ stage (Section III-C3 of the paper).
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..autograd import Tensor
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "Module", "eval_mode"]
 
 
 class Parameter(Tensor):
@@ -190,3 +191,22 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+
+@contextlib.contextmanager
+def eval_mode(module: Module) -> Iterator[Module]:
+    """Run a block with ``module`` in eval mode, then restore the caller's mode.
+
+    The caller's mode comes back on every exit, an exception included.  A
+    module already in eval mode (every model ``load_model`` returns) is
+    left alone: ``eval()`` and ``train()`` walk the whole module tree in
+    Python.
+    """
+    if not module.training:
+        yield module
+        return
+    module.eval()
+    try:
+        yield module
+    finally:
+        module.train()

@@ -10,18 +10,20 @@ classic two-stage shape:
    pure numpy).  A query scores only the ``num_cells`` centroids, probes
    the ``nprobe`` best cells, and takes their members as candidates:
    ``O(num_cells · dim + shortlist)`` work instead of ``O(num_items · dim)``;
-2. **exact rescore** — the shortlist is scored through the *existing*
+2. **exact rescore** — the shortlist is scored through the model's one
    score path (:meth:`~repro.serving.store.EmbeddingStore.scores`), so the
    final ranking over the shortlisted candidates is exactly what brute
    force would produce for them.  Approximation lives only in which items
    make the shortlist; recall@k vs exact search is tunable via ``nprobe``
    (``tests/serving/test_retrieval.py`` gates recall@10 ≥ 0.95 per model).
 
-The item factors come from :meth:`~repro.models.base.RecommenderModel.scoring_factors`
-— any model whose score is an inner product (MF, SocialMF, LightGCN, NGCF,
-DiffNet, GBMF, GBGCN, GBGCN-pretrain, ItemPop) gets retrieval for free;
-models without factors (NCF, ItemKNN, AGREE, SIGR) transparently fall back
-to exact brute force.
+The index clusters the item half of the model's cached factor pair
+(:meth:`~repro.models.base.RecommenderModel.scoring_factors`), and the
+rescore multiplies the user half against the same item rows: for an
+inner-product model (MF, SocialMF, LightGCN, NGCF, DiffNet, GBMF, GBGCN,
+GBGCN-pretrain, ItemPop) that pair *is* the score definition, so the
+shortlist and the rescore cannot drift apart.  Models without factors
+(NCF, ItemKNN, AGREE, SIGR) transparently fall back to exact brute force.
 
 Index lifecycle: :meth:`RetrievalIndex.build` is deterministic for a given
 ``(item_factors, seed)``, so the :class:`~repro.serving.catalog.ModelCatalog`

@@ -23,11 +23,10 @@ refresh a stale store, so callers never observe pre-training embeddings.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from ..models.base import RecommenderModel
+from ..nn import eval_mode
 from ..training.callbacks import Callback
 
 __all__ = ["EmbeddingStore", "EmbeddingStoreCallback"]
@@ -85,25 +84,9 @@ class EmbeddingStore:
         """Whether cached embeddings reflect the current parameters."""
         return self._fresh
 
-    @contextlib.contextmanager
-    def _eval_mode(self):
-        """Score in eval mode, restoring the caller's train/eval state after.
-
-        A model already in eval mode (every model ``load_model`` returns)
-        is left alone: ``eval()`` walks the whole module tree in Python.
-        """
-        if not self.model.training:
-            yield
-            return
-        self.model.eval()
-        try:
-            yield
-        finally:
-            self.model.train()
-
     def refresh(self) -> int:
         """Re-propagate the model's embeddings; returns the new version."""
-        with self._eval_mode():
+        with eval_mode(self.model):
             self.model.prepare_for_evaluation()
         self._fresh = True
         self.version += 1
@@ -133,14 +116,14 @@ class EmbeddingStore:
         popularity row across users) — copy before mutating in place.
         """
         self._ensure_fresh()
-        with self._eval_mode():
+        with eval_mode(self.model):
             return np.asarray(self.model.score_batch(users, item_ids), dtype=np.float64)
 
     def score_all_items(self, users: np.ndarray) -> np.ndarray:
         """Full-catalog score block for a batch of users (may be a read-only
         view, see :meth:`scores`)."""
         self._ensure_fresh()
-        with self._eval_mode():
+        with eval_mode(self.model):
             return np.asarray(self.model.score_all_items(users), dtype=np.float64)
 
     def scoring_factors(self):
@@ -153,7 +136,7 @@ class EmbeddingStore:
         :attr:`version`.
         """
         self._ensure_fresh()
-        with self._eval_mode():
+        with eval_mode(self.model):
             return self.model.scoring_factors()
 
     # ------------------------------------------------------------------

@@ -5,15 +5,16 @@ this initiator launch a group for next?".  :class:`TopKRecommender` answers
 it for whole batches of users at once, through one of two paths:
 
 * **dense** (default) — one :meth:`EmbeddingStore.score_all_items` call
-  produces the ``(users, items)`` score block from cached propagated
-  embeddings without copying any item table, each user's observed items
+  produces the ``(users, items)`` score block from the model's cached
+  factor pair without copying any item table, each user's observed items
   are set to ``-inf`` in place at the positions the observed matrix's
   ``indptr``/``indices`` list (:func:`~repro.data.dataset.observed_positions`),
   and ``np.argpartition`` selects the top ``k`` in O(items) per user;
 * **retrieval** (``retriever=``) — a
   :class:`~repro.serving.retrieval.RetrievalIndex` shortlists a few
   hundred candidates per user (IVF probe over the model's item factors),
-  and only the shortlist is rescored through the exact score path.  At
+  and only the shortlist is rescored, through the same factor product the
+  dense path computes.  At
   100k–1M items this replaces the O(items) wall with
   O(sqrt(items) · nprobe) work per user; models without scoring factors
   transparently fall back to the dense path.
@@ -157,10 +158,6 @@ class TopKRecommender:
         self.batch_size = batch_size
         self.exclude_observed = exclude_observed
         self.retriever = retriever
-        # Per-version cache of the model's user-side query factors; rebuilt
-        # after every store refresh (hot-swap, training step).
-        self._query_factors: Optional[np.ndarray] = None
-        self._query_version = -1
         self._observed_matrix: Optional[sp.csr_matrix] = None
         if exclude_observed:
             if observed_matrix is None:
@@ -191,12 +188,14 @@ class TopKRecommender:
         if k < 1:
             raise ServingError(f"k must be positive, got {k}")
         select_k = min(k, self.store.model.num_items)
+        # The model's cached factor pair (None without factors: dense path).
+        factors = None if self.retriever is None else self.store.scoring_factors()
         item_blocks = []
         score_blocks = []
         for start in range(0, users.size, self.batch_size):
             block = users[start : start + self.batch_size]
-            if self.retriever is not None and self._queries() is not None:
-                top_items, top_scores = self._top_k_block_retrieval(block, select_k)
+            if factors is not None:
+                top_items, top_scores = self._top_k_block_retrieval(block, select_k, factors[0])
             else:
                 top_items, top_scores = self._top_k_block(block, select_k)
             item_blocks.append(top_items)
@@ -244,17 +243,8 @@ class TopKRecommender:
     # ------------------------------------------------------------------
     # Retrieval path: IVF shortlist + exact rescore
     # ------------------------------------------------------------------
-    def _queries(self) -> Optional[np.ndarray]:
-        """The model's user-side factors, cached per store version."""
-        if self._query_version != self.store.version or self._query_factors is None:
-            factors = self.store.scoring_factors()
-            self._query_factors = None if factors is None else np.asarray(factors[0], dtype=np.float64)
-            self._query_version = self.store.version
-        return self._query_factors
-
-    def _top_k_block_retrieval(self, users: np.ndarray, k: int) -> tuple:
-        queries = self._queries()[users]
-        shortlists = self.retriever.shortlist(queries)
+    def _top_k_block_retrieval(self, users: np.ndarray, k: int, user_factors: np.ndarray) -> tuple:
+        shortlists = self.retriever.shortlist(user_factors[users])
         top_items = np.full((users.size, k), -1, dtype=np.int64)
         top_scores = np.full((users.size, k), -np.inf, dtype=np.float64)
         if self._observed_matrix is not None:
@@ -266,8 +256,8 @@ class TopKRecommender:
                 candidates = candidates[~np.isin(candidates, seen)]
             if candidates.size == 0:
                 continue
-            # Exact rescoring through the existing score path: the ranking
-            # over the shortlist is bitwise what score_batch produces.
+            # Exact rescoring through the model's one score path: the same
+            # factor product the dense path computes, over the shortlist.
             scores = self.store.scores(np.asarray([user]), candidates)[0]
             take = min(k, candidates.size)
             if take < candidates.size:

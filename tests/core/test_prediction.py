@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.autograd import Tensor
 from repro.autograd.sparse import row_normalize
-from repro.core import RoleWeightedPredictor
+from repro.core import RoleWeightedPredictor, role_weighted_factors
 
 
 @pytest.fixture
@@ -20,19 +20,25 @@ def setup():
     return social, user_i, item_i, user_p, item_p
 
 
+def fold_scores(alpha, user, item_ids, user_i, item_i, friend_avg, item_p):
+    """Scores of ``item_ids`` for ``user`` through the folded Eq. 9 factor pair."""
+    user_factors, item_factors = role_weighted_factors(alpha, user_i, friend_avg, item_i, item_p)
+    return (user_factors[[user]] @ item_factors[item_ids].T)[0]
+
+
 class TestScoring:
     def test_alpha_zero_uses_only_initiator_view(self, setup):
         social, user_i, item_i, user_p, item_p = setup
         predictor = RoleWeightedPredictor(social, alpha=0.0)
         friend_avg = social @ user_p
-        scores = predictor.score_candidates(0, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
+        scores = fold_scores(predictor.alpha, 0, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
         assert np.allclose(scores, item_i @ user_i[0])
 
     def test_alpha_one_uses_only_friends(self, setup):
         social, user_i, item_i, user_p, item_p = setup
         predictor = RoleWeightedPredictor(social, alpha=1.0)
         friend_avg = social @ user_p
-        scores = predictor.score_candidates(0, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
+        scores = fold_scores(predictor.alpha, 0, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
         # User 0's only friend is user 1 whose participant embedding is [1, 0].
         assert np.allclose(scores, item_p @ user_p[1])
 
@@ -41,7 +47,7 @@ class TestScoring:
         alpha = 0.6
         predictor = RoleWeightedPredictor(social, alpha=alpha)
         friend_avg = social @ user_p
-        scores = predictor.score_candidates(1, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
+        scores = fold_scores(predictor.alpha, 1, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
         expected = (1 - alpha) * item_i @ user_i[1] + alpha * item_p @ friend_avg[1]
         assert np.allclose(scores, expected)
 
@@ -49,7 +55,7 @@ class TestScoring:
         social, user_i, item_i, user_p, item_p = setup
         predictor = RoleWeightedPredictor(social, alpha=1.0)
         friend_avg = social @ user_p
-        scores = predictor.score_candidates(2, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
+        scores = fold_scores(predictor.alpha, 2, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
         assert np.allclose(scores, 0.0)
 
     def test_differentiable_scores_match_numpy_path(self, setup):
@@ -62,7 +68,7 @@ class TestScoring:
             users, items, Tensor(user_i), Tensor(item_i), friend_avg_tensor, Tensor(item_p)
         )
         numpy_scores = [
-            predictor.score_candidates(u, np.array([i]), user_i, item_i, social @ user_p, item_p)[0]
+            fold_scores(predictor.alpha, u, np.array([i]), user_i, item_i, social @ user_p, item_p)[0]
             for u, i in zip(users, items)
         ]
         assert np.allclose(tensor_scores.data, numpy_scores)

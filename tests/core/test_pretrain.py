@@ -39,6 +39,22 @@ class TestPretrainModel:
         assert np.allclose(np.linalg.norm(pretrain_model.user_embedding.weight.data, axis=1), 1.0)
         assert np.allclose(np.linalg.norm(pretrain_model.item_embedding.weight.data, axis=1), 1.0)
 
+    def test_normalize_drops_scores_prepared_before_it(self, small_split, small_graph):
+        # A model scored before normalising must not keep serving the old
+        # friend average next to the normalised own-terms.
+        train = small_split.train
+        model = GBGCNPretrainModel(
+            train.num_users, train.num_items, small_graph,
+            config=GBGCNConfig(embedding_dim=8), rng=np.random.default_rng(4),
+        )
+        items = np.arange(train.num_items)
+        model.prepare_for_evaluation()
+        model.normalize_embeddings()
+        after_normalize = [model.rank_scores(user, items) for user in range(train.num_users)]
+        model.prepare_for_evaluation()
+        for user in range(train.num_users):
+            assert after_normalize[user].tobytes() == model.rank_scores(user, items).tobytes()
+
 
 class TestTransfer:
     def test_transfer_copies_raw_embeddings(self, small_split, small_graph, pretrain_model):

@@ -211,5 +211,5 @@ class TestGBMF:
                      rng=np.random.default_rng(17))
         model.prepare_for_evaluation()
         items = np.arange(5)
-        expected = model.item_embedding.weight.data[items] @ model._eval_cache[3]
+        expected = model.item_embedding.weight.data[items] @ model.friend_average_users().data[3]
         assert np.allclose(model.rank_scores(3, items), expected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Embedding, Linear, MLP, Module, Parameter
+from repro.nn import Embedding, Linear, MLP, Module, Parameter, eval_mode
 
 
 class Composite(Module):
@@ -55,6 +55,30 @@ class TestTrainEval:
         assert not model.blocks[1].training
         model.train()
         assert model.by_name["head"].training
+
+    def test_eval_mode_restores_train_mode_on_every_exit(self):
+        model = Composite()
+        with eval_mode(model) as inside:
+            assert inside is model
+            assert not any(module.training for _, module in model.named_modules())
+        assert all(module.training for _, module in model.named_modules())
+        with pytest.raises(RuntimeError):
+            with eval_mode(model):
+                raise RuntimeError("scoring failed")
+        assert all(module.training for _, module in model.named_modules())
+
+    def test_eval_mode_leaves_a_module_in_eval_mode_alone(self, monkeypatch):
+        model = Composite().eval()
+        calls = []
+        monkeypatch.setattr(model, "eval", lambda: calls.append("eval"))
+        monkeypatch.setattr(model, "train", lambda: calls.append("train"))
+        with pytest.raises(RuntimeError):
+            with eval_mode(model):
+                raise RuntimeError("scoring failed")
+        with eval_mode(model):
+            pass
+        assert calls == []
+        assert not model.training
 
     def test_zero_grad_clears_all(self):
         model = Composite()

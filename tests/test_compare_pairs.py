@@ -146,8 +146,40 @@ def test_cli_prints_one_row_per_metric(tmp_path, capsys):
     parent = write_side(tmp_path / "p.txt", "serve-dense", range(10), parent_metrics)
     change = write_side(tmp_path / "c.txt", "serve-dense", range(10), change_metrics)
     argv = ["--parent", str(parent), "--change", str(change), "--benchmark", str(benchmark)]
-    assert compare_pairs.main(argv) == 0
+    # change_metrics regresses work_s, so the comparison fails.
+    assert compare_pairs.main(argv) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("serve-dense: 10 pairs")
     assert [line.split()[0] for line in out[2:]] == [m["name"] for m in END_TO_END]
     assert out[2].rstrip().endswith("gain")
+
+
+def _cli(tmp_path, change_metrics_of_seed, workload="serve-dense", **change_kwargs):
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
+    parent = write_side(tmp_path / "p.txt", "serve-dense", range(10), parent_metrics)
+    change = write_side(tmp_path / "c.txt", workload, range(10), change_metrics_of_seed, **change_kwargs)
+    return compare_pairs.main(
+        ["--parent", str(parent), "--change", str(change), "--benchmark", str(benchmark)]
+    )
+
+
+def clean_metrics(seed):
+    parent = parent_metrics(seed)
+    return {**parent, "resp_p50_ms": parent["resp_p50_ms"] * 0.9, "work_s": parent["work_s"] * 1.02}
+
+
+def test_cli_exits_zero_on_clean_pairs(tmp_path, capsys):
+    assert _cli(tmp_path, clean_metrics) == 0
+    out = capsys.readouterr().out
+    assert "regression" not in out
+
+
+def test_cli_exits_one_on_an_incorrect_run_or_a_risen_failed_share(tmp_path):
+    assert _cli(tmp_path, clean_metrics, correct=False) == 1
+    assert _cli(tmp_path, clean_metrics, failed=1) == 1
+
+
+def test_cli_exits_two_when_no_pair_matched(tmp_path, capsys):
+    assert _cli(tmp_path, clean_metrics, workload="train-publish") == 2
+    assert "no (workload, seed) pair" in capsys.readouterr().err
