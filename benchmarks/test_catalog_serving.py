@@ -25,7 +25,6 @@ asserted floor (3x) is far below typical measurements so the test only
 fails on a real regression.  Marked ``slow``: set ``REPRO_RUN_SLOW=1``.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -47,6 +46,8 @@ from repro.serving import (
     TrafficConfig,
     TrafficModel,
 )
+
+from _bench import SERVING_SCHEMA, write_sections
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
@@ -324,27 +325,13 @@ def test_write_bench_serving_json():
     """Persist the trajectory point (runs after the timing tests)."""
     if not _RESULTS:
         pytest.skip("no timings collected in this run")
-    results = dict(_RESULTS)
-    if OUTPUT_PATH.exists():
-        # Other benchmarks (test_retrieval_scaling.py, test_worker_scaling.py)
-        # write their own sections on their own cadence; rewriting the
-        # catalog numbers must not drop them.
-        try:
-            previous = json.loads(OUTPUT_PATH.read_text())
-            for section, value in previous.get("results", {}).items():
-                results.setdefault(section, value)
-        except (ValueError, OSError):
-            pass
-    payload = {
-        "schema": "repro-serving-bench/v6",
-        "config": {
-            "num_users": NUM_USERS,
-            "num_items": NUM_ITEMS,
-            "num_behaviors": NUM_BEHAVIORS,
-            "embedding_dim": EMBEDDING_DIM,
-            "catalog_models": CATALOG_MODELS,
-        },
-        "results": results,
+    # Other benchmarks write their own sections on their own cadence; the
+    # merge keeps them.  The file's config is this bench's.
+    config = {
+        "num_users": NUM_USERS,
+        "num_items": NUM_ITEMS,
+        "num_behaviors": NUM_BEHAVIORS,
+        "embedding_dim": EMBEDDING_DIM,
+        "catalog_models": CATALOG_MODELS,
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {OUTPUT_PATH}")
+    write_sections(OUTPUT_PATH, SERVING_SCHEMA, _RESULTS, config=config)

@@ -24,7 +24,6 @@ catalog, retrieval, worker-scaling and scenario sections the other slow
 benchmarks maintain.  Marked ``slow``: set ``REPRO_RUN_SLOW=1`` to run.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -48,9 +47,10 @@ from repro.serving import (
     inject,
 )
 
+from _bench import SERVING_SCHEMA, write_sections
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
-SCHEMA = "repro-serving-bench/v6"
 
 EMBEDDING_DIM = 16
 NUM_USERS = 2000
@@ -251,19 +251,11 @@ def test_write_resilience_into_bench_json():
     """Merge the section into BENCH_serving.json (runs after the timings)."""
     if not _RESULTS:
         pytest.skip("no resilience timings collected in this run")
-    payload = {"schema": SCHEMA, "config": {}, "results": {}}
-    if OUTPUT_PATH.exists():
-        try:
-            payload = json.loads(OUTPUT_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    payload["schema"] = SCHEMA
-    payload.setdefault("results", {})["resilience"] = {
+    resilience = {
         "embedding_dim": EMBEDDING_DIM,
         "num_users": NUM_USERS,
         "num_items": NUM_ITEMS,
         "model": "MF",
         **_RESULTS,
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {OUTPUT_PATH}")
+    write_sections(OUTPUT_PATH, SERVING_SCHEMA, {"resilience": resilience})

@@ -14,7 +14,6 @@ Run with ``REPRO_RUN_SLOW=1`` (the 1M point builds a 1000-cell k-means
 index over a million item vectors — tens of seconds, off the tier-1 path).
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -25,6 +24,8 @@ from repro.data import GroupBuyingDataset, leave_one_out_split
 from repro.data.schema import GroupBuyingBehavior, SocialEdge
 from repro.models import ModelSettings, build_model
 from repro.serving import EmbeddingStore, TopKRecommender, build_index_for_model
+
+from _bench import SERVING_SCHEMA, write_sections
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
@@ -172,14 +173,7 @@ def test_write_retrieval_scaling_into_bench_json():
     """Merge the curve into BENCH_serving.json (runs after the points)."""
     if not _CURVE:
         pytest.skip("no scaling points collected in this run")
-    payload = {"schema": "repro-serving-bench/v6", "config": {}, "results": {}}
-    if OUTPUT_PATH.exists():
-        try:
-            payload = json.loads(OUTPUT_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    payload["schema"] = "repro-serving-bench/v6"
-    payload.setdefault("results", {})["retrieval_scaling"] = {
+    retrieval_scaling = {
         "embedding_dim": EMBEDDING_DIM,
         "num_users": NUM_USERS,
         "top_k": TOP_K,
@@ -187,5 +181,4 @@ def test_write_retrieval_scaling_into_bench_json():
         "model": "MF",
         "points": sorted(_CURVE, key=lambda point: point["num_items"]),
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {OUTPUT_PATH}")
+    write_sections(OUTPUT_PATH, SERVING_SCHEMA, {"retrieval_scaling": retrieval_scaling})

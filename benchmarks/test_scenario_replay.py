@@ -23,7 +23,6 @@ Results land in ``BENCH_serving.json`` under ``results.scenario``
 section.  Slow-gated: ``REPRO_RUN_SLOW=1``.
 """
 
-import json
 import resource
 import time
 from pathlib import Path
@@ -44,9 +43,10 @@ from repro.serving import (
     WorkerPool,
 )
 
+from _bench import SERVING_SCHEMA, write_sections
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
-SCHEMA = "repro-serving-bench/v6"
 
 #: The acceptance gate this benchmark encodes: during the flash burst,
 #: successfully served requests must keep p99 under this bound.
@@ -257,14 +257,7 @@ def test_write_scenario_into_bench_json():
     """Merge the section into BENCH_serving.json (runs after the replays)."""
     if not _RESULTS:
         pytest.skip("no scenario measurements collected in this run")
-    payload = {"schema": SCHEMA, "config": {}, "results": {}}
-    if OUTPUT_PATH.exists():
-        try:
-            payload = json.loads(OUTPUT_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    payload["schema"] = SCHEMA
-    payload.setdefault("results", {})["scenario"] = {
+    scenario = {
         "population_config": {
             "num_users": POPULATION_CONFIG.num_users,
             "num_items": POPULATION_CONFIG.num_items,
@@ -276,5 +269,4 @@ def test_write_scenario_into_bench_json():
         "serve_items": SERVE_ITEMS,
         **_RESULTS,
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {OUTPUT_PATH}")
+    write_sections(OUTPUT_PATH, SERVING_SCHEMA, {"scenario": scenario})

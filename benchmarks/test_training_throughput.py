@@ -28,7 +28,6 @@ pre-change-baseline speedup assertion is only enforced when
 Marked ``slow``: set ``REPRO_RUN_SLOW=1`` to run.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -43,6 +42,8 @@ from repro.models import ModelSettings, build_model
 from repro.optim import SGD, Adam
 from repro.training.factory import build_batch_iterator
 from repro.training.trainer import Trainer
+
+from _bench import TRAINING_SCHEMA, write_sections
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_training.json"
@@ -225,18 +226,13 @@ def test_write_bench_training_json():
     """Persist the trajectory point (runs after the parametrized timings)."""
     if not _RESULTS:
         pytest.skip("no timings collected in this run")
-    payload = {
-        "schema": "repro-training-bench/v1",
-        "config": {
-            "num_users": NUM_USERS,
-            "num_behaviors": NUM_BEHAVIORS,
-            "batch_size": BATCH_SIZE,
-            "embedding_dim": EMBEDDING_DIM,
-            "epochs_timed": 3,
-            "workload_items": WORKLOADS,
-            "pre_change_baseline_commit": "39fc887",
-        },
-        "results": _RESULTS,
+    config = {
+        "num_users": NUM_USERS,
+        "num_behaviors": NUM_BEHAVIORS,
+        "batch_size": BATCH_SIZE,
+        "embedding_dim": EMBEDDING_DIM,
+        "epochs_timed": 3,
+        "workload_items": WORKLOADS,
+        "pre_change_baseline_commit": "39fc887",
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {OUTPUT_PATH}")
+    write_sections(OUTPUT_PATH, TRAINING_SCHEMA, _RESULTS, config=config)

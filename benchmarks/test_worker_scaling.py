@@ -17,7 +17,6 @@ Results land in ``BENCH_serving.json`` under ``results.worker_scaling``
 serving and retrieval sections.  Slow-gated: ``REPRO_RUN_SLOW=1``.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -30,6 +29,8 @@ from repro.data.schema import GroupBuyingBehavior, SocialEdge
 from repro.models import ModelSettings, build_model
 from repro.persist import LAYOUT_DIR, save_model
 from repro.serving import WorkerPool
+
+from _bench import SERVING_SCHEMA, write_sections
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
@@ -157,20 +158,13 @@ def test_write_worker_scaling_into_bench_json(pool_setup):
     """Merge the curve into BENCH_serving.json (runs after the points)."""
     if not _RESULTS:
         pytest.skip("no scaling points collected in this run")
-    payload = {"schema": "repro-serving-bench/v6", "config": {}, "results": {}}
-    if OUTPUT_PATH.exists():
-        try:
-            payload = json.loads(OUTPUT_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    payload["schema"] = "repro-serving-bench/v6"
     points = [_RESULTS[w] for w in sorted(_RESULTS)]
     base = points[0]["io_stall_req_s"]
     cpu_base = points[0]["cpu_bound_req_s"]
     for point in points:
         point["io_stall_speedup_vs_1"] = point["io_stall_req_s"] / base
         point["cpu_bound_speedup_vs_1"] = point["cpu_bound_req_s"] / cpu_base
-    payload.setdefault("results", {})["worker_scaling"] = {
+    worker_scaling = {
         "cpus": os.cpu_count(),
         "io_stall_ms": IO_STALL_SECONDS * 1000.0,
         "embedding_dim": EMBEDDING_DIM,
@@ -183,5 +177,4 @@ def test_write_worker_scaling_into_bench_json(pool_setup):
         "artifact_layout": "dir",
         "points": points,
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {OUTPUT_PATH}")
+    write_sections(OUTPUT_PATH, SERVING_SCHEMA, {"worker_scaling": worker_scaling})

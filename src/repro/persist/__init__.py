@@ -8,7 +8,11 @@ identical scores.  Two layouts exist: the default single-``.npz`` archive
 (format v1) and the mmap-able ``layout="dir"`` directory of raw ``.npy``
 files (format v2), which lets N serving worker processes share one
 page-cache copy of the weights; :func:`migrate_artifact` converts between
-them.
+them.  Every reader decides the layout in one place,
+``artifact._open_artifact`` (a directory is a ``dir`` artifact, anything
+else an ``npz`` archive); only the writers, :func:`copy_artifact`,
+:func:`artifact_layout` and :func:`artifact_stat` look at the entry type
+themselves.
 
 Typical lifecycle::
 

@@ -14,6 +14,15 @@ An artifact exists in one of two on-disk layouts:
   heaps — the point of the layout.  :func:`migrate_artifact` converts
   between the two layouts losslessly in either direction.
 
+Readers decide the layout in one place, :func:`_open_artifact`: a
+directory is a ``dir`` artifact, anything else an ``npz`` archive.  It
+returns a reader with the same three calls for both layouts — ``header()``,
+``members()`` (name, CRC-32 and size per member) and
+``arrays(group, mmap_mode)`` — and every reader in this module and in
+:mod:`repro.persist.index` is one path through it.  Only
+:func:`artifact_layout`, :func:`copy_artifact`, the writers and
+``index.artifact_stat`` look at the entry type themselves.
+
 The header carries the format name and version, the registry model name,
 the :class:`~repro.models.registry.ModelSettings` (and, for GBGCN
 variants, the :class:`~repro.core.gbgcn.GBGCNConfig`) needed to rebuild
@@ -35,6 +44,7 @@ of producing garbage recommendations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -141,17 +151,8 @@ class ArtifactHeader:
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ArtifactHeader":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ArtifactFormatError(
-                f"artifact header is not valid JSON (truncated or corrupted write?): {error}"
-            ) from error
-        if not isinstance(payload, dict):
-            raise ArtifactFormatError(
-                f"artifact header must be a JSON object, got {type(payload).__name__}"
-            )
+    def from_payload(cls, payload: Dict[str, Any]) -> "ArtifactHeader":
+        """Validate a decoded header object (see :func:`_header_payload`)."""
         if payload.get("format") != FORMAT_NAME:
             raise ArtifactFormatError(
                 f"file is not a {FORMAT_NAME!r} artifact (header format field: "
@@ -182,17 +183,34 @@ class ArtifactHeader:
         return cls(**{key: value for key, value in payload.items() if key in known})
 
 
-_TMP_OWNER_PATTERN = re.compile(r"\.tmp-(\d+)-\d+$")
+def _header_payload(text: str, path: Path) -> Dict[str, Any]:
+    """Decode the JSON header text of the artifact at ``path`` (either layout)."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ArtifactFormatError(
+            f"artifact header of {path} is not valid JSON (truncated or corrupted write?): {error}"
+        ) from error
+    if not isinstance(payload, dict):
+        raise ArtifactFormatError(
+            f"artifact header of {path} must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+#: Names a writer claims next to an artifact: ``tmp`` for the entry being
+#: built, ``old`` for the previous ``dir`` artifact retired mid-swap.
+_OWNER_PATTERN = re.compile(r"\.(?:tmp|old)-(\d+)-\d+$")
 
 
 def _owner_pid_alive(name: str) -> Optional[bool]:
-    """Whether the temp entry's recorded writer PID is a live process.
+    """Whether the entry's recorded writer PID is a live process.
 
-    Temp names embed their writer as ``.{artifact}.tmp-{pid}-{attempt}``.
+    Writers name their entries ``.{artifact}.{tmp|old}-{pid}-{attempt}``.
     Returns ``None`` when no PID can be parsed from ``name`` (a foreign
     temp entry) or when liveness cannot be determined.
     """
-    match = _TMP_OWNER_PATTERN.search(name)
+    match = _OWNER_PATTERN.search(name)
     if match is None:
         return None
     pid = int(match.group(1))
@@ -211,11 +229,13 @@ def _owner_pid_alive(name: str) -> Optional[bool]:
 
 
 def _sweep_stale_tmp(path: Path, max_age_seconds: Optional[float] = None) -> None:
-    """Best-effort removal of temp orphans left by hard crashes (SIGKILL).
+    """Best-effort removal of writer debris left by hard crashes (SIGKILL).
 
-    A temp entry is removed only when **both** hold:
+    The debris is a temp entry (``.tmp-``) or a previous ``dir`` artifact
+    retired mid-swap (``.old-``; see :func:`_atomic_replace_dir`).  An
+    entry is removed only when **both** hold:
 
-    1. its recorded writer PID — parsed from the ``tmp-{pid}-{attempt}``
+    1. its recorded writer PID — parsed from the ``{tmp|old}-{pid}-{attempt}``
        name — is no longer a live process.  An ``st_mtime`` age check
        alone is not safe with multiple writers: wall-clock skew (a
        temp file stamped by one host's clock, judged by another's) or a
@@ -235,22 +255,36 @@ def _sweep_stale_tmp(path: Path, max_age_seconds: Optional[float] = None) -> Non
     """
     if max_age_seconds is None:
         max_age_seconds = TMP_SWEEP_MAX_AGE_SECONDS
-    for orphan in path.parent.glob(f".{path.name}.tmp-*"):
-        # Reap only entries whose owner is *confirmed* dead.  A live owner
-        # vetoes; so does an unparseable name (not this protocol's entry —
-        # never delete what we cannot attribute) or an indeterminate PID.
-        if _owner_pid_alive(orphan.name) is not False:
-            continue
-        try:
-            # repro: allow(CLOCK-001) -- age compares against st_mtime, which is wall-clock by definition; a monotonic read has no meaningful difference with an mtime
-            if time.time() - orphan.stat().st_mtime <= max_age_seconds:
+    for kind in ("tmp", "old"):
+        for orphan in path.parent.glob(f".{path.name}.{kind}-*"):
+            # Reap only entries whose owner is *confirmed* dead.  A live
+            # owner vetoes; so does an unparseable name (not this protocol's
+            # entry — never delete what we cannot attribute) or an
+            # indeterminate PID.
+            if _owner_pid_alive(orphan.name) is not False:
                 continue
-            if orphan.is_dir():
-                shutil.rmtree(orphan, ignore_errors=True)
-            else:
-                orphan.unlink()
-        except OSError:
-            pass
+            try:
+                # repro: allow(CLOCK-001) -- age compares against st_mtime, which is wall-clock by definition; a monotonic read has no meaningful difference with an mtime
+                if time.time() - orphan.stat().st_mtime > max_age_seconds:
+                    _remove_entry(orphan)
+            except OSError:
+                pass
+
+
+def _claim(path: Path, kind: str, create: Callable[[Path], Any]) -> Tuple[Path, Any]:
+    """Claim the first free ``.{name}.{kind}-{pid}-{attempt}`` sibling of ``path``.
+
+    ``create(candidate)`` takes the name and raises ``FileExistsError``
+    when it is already taken, which moves on to the next attempt.  Returns
+    the claimed name and ``create``'s result.
+    """
+    for attempt in range(1000):
+        candidate = path.with_name(f".{path.name}.{kind}-{os.getpid()}-{attempt}")
+        try:
+            return candidate, create(candidate)
+        except FileExistsError:
+            continue
+    raise ArtifactError(f"could not claim a unique {kind} name next to {path}")
 
 
 def _atomic_replace_write(path: Path, write) -> None:
@@ -262,17 +296,9 @@ def _atomic_replace_write(path: Path, write) -> None:
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     _sweep_stale_tmp(path)
-    tmp = None
-    for attempt in range(1000):
-        candidate = path.with_name(f".{path.name}.tmp-{os.getpid()}-{attempt}")
-        try:
-            descriptor = os.open(candidate, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-            tmp = candidate
-            break
-        except FileExistsError:
-            continue
-    if tmp is None:
-        raise ArtifactError(f"could not create a unique temp file next to {path}")
+    tmp, descriptor = _claim(
+        path, "tmp", lambda name: os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    )
     replaced = False
     try:
         with os.fdopen(descriptor, "wb") as handle:
@@ -285,10 +311,7 @@ def _atomic_replace_write(path: Path, write) -> None:
         # Clean up only our own failed write: after a successful replace the
         # name may already belong to a concurrent writer's fresh temp file.
         if not replaced:
-            try:
-                tmp.unlink()
-            except FileNotFoundError:
-                pass
+            _remove_entry(tmp)
 
 
 def _atomic_write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
@@ -309,47 +332,47 @@ def _remove_entry(path: Path) -> None:
 def _atomic_replace_dir(path: Path, build: Callable[[Path], None]) -> None:
     """Build a directory under a unique temp name, then swap it into place.
 
-    ``build(tmp)`` fills the freshly-created temp directory.  Publishing is
-    a single ``os.rename`` when ``path`` does not exist yet.  When it does
-    (hot-swap republish), POSIX ``rename`` cannot atomically replace a
-    non-empty directory, so the old artifact is first renamed aside and
-    then deleted — readers resolving member paths in that sub-millisecond
-    window see ``FileNotFoundError``, which every reader in this package
-    maps to a typed :class:`ArtifactError` and the serving catalog retries.
+    ``build(tmp)`` fills the freshly-created temp directory; every file in
+    the built tree is then fsynced once, so a crash after the rename can
+    never publish members whose bytes did not reach the disk.  Publishing
+    is a single ``os.rename`` when ``path`` does not exist yet.  When it
+    does (hot-swap republish), POSIX ``rename`` cannot atomically replace a
+    non-empty directory, so the old artifact is first renamed aside (to
+    ``.{name}.old-{pid}-{attempt}``, which :func:`_sweep_stale_tmp` reaps
+    if this writer dies before deleting it) and then deleted — readers
+    resolving member paths in that sub-millisecond window see
+    ``FileNotFoundError``, which every reader in this package maps to a
+    typed :class:`ArtifactError` and the serving catalog retries.
     Concurrent writers to the same path converge last-writer-wins, the
     same contract as the ``npz`` layout.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     _sweep_stale_tmp(path)
-    tmp = None
-    for attempt in range(1000):
-        candidate = path.with_name(f".{path.name}.tmp-{os.getpid()}-{attempt}")
-        try:
-            os.mkdir(candidate)  # exclusive creation, like O_EXCL for files
-            tmp = candidate
-            break
-        except FileExistsError:
-            continue
-    if tmp is None:
-        raise ArtifactError(f"could not create a unique temp directory next to {path}")
+    # os.mkdir is the exclusive creation, like O_EXCL for files.
+    tmp, _ = _claim(path, "tmp", os.mkdir)
+
+    def retire(candidate: Path) -> None:
+        if candidate.exists():
+            raise FileExistsError(candidate)
+        os.rename(path, candidate)
+
     published = False
     try:
         build(tmp)
+        for directory, _, names in os.walk(tmp):
+            for name in names:
+                descriptor = os.open(os.path.join(directory, name), os.O_RDONLY)
+                try:
+                    os.fsync(descriptor)
+                finally:
+                    os.close(descriptor)
         try:
             os.rename(tmp, path)
             published = True
         except OSError:
             if not path.exists():
                 raise
-            retired = None
-            for attempt in range(1000):
-                candidate = path.with_name(f".{path.name}.old-{os.getpid()}-{attempt}")
-                if not candidate.exists():
-                    retired = candidate
-                    break
-            if retired is None:
-                raise ArtifactError(f"could not retire the previous artifact at {path}")
-            os.rename(path, retired)
+            retired, _ = _claim(path, "old", retire)
             try:
                 os.rename(tmp, path)
                 published = True
@@ -401,8 +424,6 @@ def _write_dir_artifact(path: Path, header: ArtifactHeader, arrays: Dict[str, np
             target.parent.mkdir(parents=True, exist_ok=True)
             with open(target, "wb") as handle:
                 np.save(handle, arrays[key], allow_pickle=False)
-                handle.flush()
-                os.fsync(handle.fileno())
             members[member] = {
                 "crc32": _crc32_of_file(target),
                 "size": target.stat().st_size,
@@ -410,12 +431,8 @@ def _write_dir_artifact(path: Path, header: ArtifactHeader, arrays: Dict[str, np
         payload = json.loads(header.to_json())
         payload["layout"] = LAYOUT_DIR
         payload["members"] = members
-        text = json.dumps(payload, sort_keys=True)
-        header_path = tmp / DIR_HEADER_FILENAME
-        with open(header_path, "wb") as handle:
-            handle.write(text.encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
+        with open(tmp / DIR_HEADER_FILENAME, "wb") as handle:
+            handle.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     _atomic_replace_dir(path, build)
 
@@ -469,27 +486,18 @@ def _write_artifact(
     path: Path,
     header: ArtifactHeader,
     state: Dict[str, np.ndarray],
-    index_arrays: Dict[str, np.ndarray],
+    index: Dict[str, np.ndarray],
     layout: str,
 ) -> None:
-    """Write header + grouped arrays at ``path`` in the requested layout.
-
-    ``index_arrays`` keys already carry the ``index/`` prefix; ``state``
-    keys are bare and get the ``state/`` prefix here.
-    """
-    grouped: Dict[str, np.ndarray] = {}
-    for key, value in state.items():
-        grouped[_STATE_PREFIX + key] = np.ascontiguousarray(value)
-    for key, value in index_arrays.items():
-        grouped[key] = np.ascontiguousarray(value)
+    """Write the header plus the ``state/`` and ``index/`` arrays at ``path`` in ``layout``."""
+    grouped = {_STATE_PREFIX + key: np.ascontiguousarray(value) for key, value in state.items()}
+    for key, value in index.items():
+        grouped[_INDEX_PREFIX + key] = np.ascontiguousarray(value)
     if layout == LAYOUT_DIR:
         _write_dir_artifact(path, header, grouped)
     else:
-        arrays: Dict[str, np.ndarray] = {
-            _HEADER_KEY: np.frombuffer(header.to_json().encode("utf-8"), dtype=np.uint8)
-        }
-        arrays.update(grouped)
-        _atomic_write_npz(path, arrays)
+        header_bytes = np.frombuffer(header.to_json().encode("utf-8"), dtype=np.uint8)
+        _atomic_write_npz(path, {_HEADER_KEY: header_bytes, **grouped})
 
 
 def save_model(
@@ -556,7 +564,7 @@ def save_model(
     # them out, so snapshotting the whole model first would double memory.
     state = model.state_arrays()
     retrieval_params: Optional[Dict[str, Any]] = None
-    index_arrays: Dict[str, np.ndarray] = {}
+    index: Dict[str, np.ndarray] = {}
     if retrieval_index is not None:
         if int(retrieval_index.num_items) != int(model.num_items):
             raise ArtifactError(
@@ -564,10 +572,7 @@ def save_model(
                 f"serves {model.num_items}; build the index from this model's item factors"
             )
         retrieval_params = dict(retrieval_index.params())
-        index_arrays = {
-            _INDEX_PREFIX + key: np.ascontiguousarray(value)
-            for key, value in retrieval_index.state_arrays().items()
-        }
+        index = retrieval_index.state_arrays()
     header = ArtifactHeader(
         format_version=version,
         model_name=name,
@@ -578,7 +583,7 @@ def save_model(
         library_version=_library_version(),
         retrieval=retrieval_params,
     )
-    _write_artifact(path, header, state, index_arrays, layout)
+    _write_artifact(path, header, state, index, layout)
     return header
 
 
@@ -618,13 +623,10 @@ def migrate_artifact(
     """
     path = Path(path)
     version = _layout_version(to_layout)
-    header, state = read_state_dict(path)
-    retrieval = read_retrieval_state(path)
-    index_arrays: Dict[str, np.ndarray] = {}
-    retrieval_params: Optional[Dict[str, Any]] = None
-    if retrieval is not None:
-        retrieval_params, raw = retrieval
-        index_arrays = {_INDEX_PREFIX + key: value for key, value in raw.items()}
+    with _open_artifact(path) as artifact:
+        header = artifact.header()
+        state = _read_state(artifact, header, mmap_mode=None)
+        index = _read_index(artifact, header)
     if destination is None:
         suffix = DIR_SUFFIX if to_layout == LAYOUT_DIR else ".npz"
         destination = path.with_suffix(suffix)
@@ -638,7 +640,7 @@ def migrate_artifact(
         format_version=version,
         library_version=_library_version(),
     )
-    _write_artifact(destination, migrated, state, index_arrays, to_layout)
+    _write_artifact(destination, migrated, state, index, to_layout)
     return destination
 
 
@@ -677,145 +679,199 @@ def _library_version() -> str:
     return __version__
 
 
-def _open_archive(path: Path):
-    if not path.exists():
-        raise ArtifactFormatError(f"artifact file does not exist: {path}")
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, OSError, ValueError) as error:
-        raise ArtifactFormatError(f"{path} is not a readable npz artifact: {error}") from error
-    if not hasattr(archive, "files"):
-        # np.load returns a bare ndarray for .npy content.
-        raise ArtifactFormatError(f"{path} is a single-array .npy file, not an npz artifact")
-    return archive
+class _Reader:
+    """An artifact opened by :func:`_open_artifact`; use it as a context manager.
 
-
-def _read_dir_payload(path: Path) -> Dict[str, Any]:
-    """The raw JSON payload of a ``dir``-layout artifact's header file."""
-    header_path = path / DIR_HEADER_FILENAME
-    try:
-        text = header_path.read_text("utf-8")
-    except FileNotFoundError as error:
-        raise ArtifactFormatError(
-            f"{path} is a directory without a {DIR_HEADER_FILENAME}; it is not a "
-            f"dir-layout artifact (or its writer crashed before publishing)"
-        ) from error
-    except (OSError, UnicodeDecodeError) as error:
-        # UnicodeDecodeError: corrupted header bytes (e.g. bit rot) must
-        # surface as a typed artifact fault, not a raw codec error.
-        raise ArtifactFormatError(f"artifact header of {path} is unreadable: {error}") from error
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ArtifactFormatError(
-            f"artifact header {header_path} is not valid JSON (truncated or corrupted "
-            f"write?): {error}"
-        ) from error
-    if not isinstance(payload, dict):
-        raise ArtifactFormatError(
-            f"artifact header {header_path} must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
-
-
-def _read_dir_header(path: Path) -> ArtifactHeader:
-    header_path = path / DIR_HEADER_FILENAME
-    try:
-        text = header_path.read_text("utf-8")
-    except FileNotFoundError as error:
-        raise ArtifactFormatError(
-            f"{path} is a directory without a {DIR_HEADER_FILENAME}; it is not a "
-            f"dir-layout artifact (or its writer crashed before publishing)"
-        ) from error
-    except (OSError, UnicodeDecodeError) as error:
-        # UnicodeDecodeError: corrupted header bytes (e.g. bit rot) must
-        # surface as a typed artifact fault, not a raw codec error.
-        raise ArtifactFormatError(f"artifact header of {path} is unreadable: {error}") from error
-    return ArtifactHeader.from_json(text)
-
-
-def _dir_arrays(path: Path, group: str, mmap_mode: Optional[str]) -> Dict[str, np.ndarray]:
-    """All arrays of a member group (``"state"`` / ``"index"``) of a dir artifact.
-
-    Keys containing ``/`` (e.g. extra-state keys) map to nested
-    subdirectories on disk, so the walk is recursive.
+    Each layout provides ``payload`` (the decoded JSON header object),
+    ``members()`` and ``arrays(group, mmap_mode)``.
     """
-    root = path / group
-    arrays: Dict[str, np.ndarray] = {}
-    if not root.is_dir():
-        return arrays
-    for member in sorted(root.rglob("*.npy")):
-        if not member.is_file():
-            continue
-        key = member.relative_to(root).as_posix()[: -len(".npy")]
+
+    #: Whether ``arrays(..., mmap_mode="r")`` maps the members read-only.
+    mmappable = False
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def header(self) -> ArtifactHeader:
+        return ArtifactHeader.from_payload(self.payload)
+
+
+class _NpzReader(_Reader):
+    """The ``npz`` layout: one zip archive, its members read lazily by ``np.load``."""
+
+    def __enter__(self) -> "_NpzReader":
         try:
-            arrays[key] = np.load(member, mmap_mode=mmap_mode, allow_pickle=False)
-        except (OSError, ValueError) as error:
+            archive = np.load(self.path, allow_pickle=False)
+        except FileNotFoundError as error:
             raise ArtifactFormatError(
-                f"artifact {path} has an unreadable {group} array {member.name}: {error}"
+                f"artifact does not exist (vanished, or never written): {self.path}"
             ) from error
-    return arrays
+        except (zipfile.BadZipFile, OSError, ValueError) as error:
+            raise ArtifactFormatError(
+                f"{self.path} is not a readable npz artifact: {error}"
+            ) from error
+        if not hasattr(archive, "files"):
+            # np.load returns a bare ndarray for .npy content.
+            raise ArtifactFormatError(
+                f"{self.path} is a single-array .npy file, not an npz artifact"
+            )
+        self._archive = archive
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._archive.close()
+
+    @property
+    def payload(self) -> Dict[str, Any]:
+        if _HEADER_KEY not in self._archive.files:
+            raise ArtifactFormatError(
+                f"{self.path} is an npz archive but carries no {_HEADER_KEY!r} entry; "
+                f"it was not written by repro.persist.save_model"
+            )
+        try:
+            header_bytes = bytes(np.asarray(self._archive[_HEADER_KEY], dtype=np.uint8))
+        except (zipfile.BadZipFile, OSError, ValueError, TypeError) as error:
+            raise ArtifactFormatError(
+                f"artifact header of {self.path} is unreadable: {error}"
+            ) from error
+        return _header_payload(header_bytes.decode("utf-8", errors="replace"), self.path)
+
+    def members(self) -> List[Tuple[str, int, int]]:
+        """Name, CRC-32 and size of every zip member, from the central directory."""
+        return [
+            (info.filename, info.CRC, info.file_size) for info in self._archive.zip.infolist()
+        ]
+
+    def arrays(self, group: str, mmap_mode: Optional[str]) -> Dict[str, np.ndarray]:
+        """Every array of ``group``; zip members cannot be mapped, so ``mmap_mode`` is moot."""
+        prefix = group + "/"
+        try:
+            return {
+                key[len(prefix):]: self._archive[key]
+                for key in self._archive.files
+                if key.startswith(prefix)
+            }
+        except (zipfile.BadZipFile, OSError, ValueError) as error:
+            raise ArtifactFormatError(
+                f"artifact {self.path} has an unreadable {group} array: {error}"
+            ) from error
 
 
-def _dir_state(path: Path, header: ArtifactHeader, mmap_mode: Optional[str]) -> Dict[str, np.ndarray]:
-    state = _dir_arrays(path, "state", mmap_mode)
+class _DirReader(_Reader):
+    """The ``dir`` layout: ``header.json``, parsed once on first use, plus ``.npy`` members."""
+
+    mmappable = True
+
+    @functools.cached_property
+    def payload(self) -> Dict[str, Any]:
+        try:
+            text = (self.path / DIR_HEADER_FILENAME).read_text("utf-8")
+        except FileNotFoundError as error:
+            raise ArtifactFormatError(
+                f"{self.path} is a directory without a {DIR_HEADER_FILENAME}; it is not a "
+                f"dir-layout artifact (or its writer crashed before publishing)"
+            ) from error
+        except (OSError, UnicodeDecodeError) as error:
+            # UnicodeDecodeError: corrupted header bytes (e.g. bit rot) must
+            # surface as a typed artifact fault, not a raw codec error.
+            raise ArtifactFormatError(
+                f"artifact header of {self.path} is unreadable: {error}"
+            ) from error
+        return _header_payload(text, self.path)
+
+    def members(self) -> List[Tuple[str, int, int]]:
+        """Name, CRC-32 and size of every member, from the header's ``members`` manifest."""
+        manifest = self.payload.get("members")
+        if not isinstance(manifest, dict) or not manifest:
+            raise ArtifactFormatError(
+                f"dir-layout artifact {self.path} has no members manifest in its "
+                f"{DIR_HEADER_FILENAME}; it was not written by repro.persist.save_model"
+            )
+        members = []
+        for name in sorted(manifest):
+            entry = manifest[name]
+            if not isinstance(entry, dict) or "crc32" not in entry or "size" not in entry:
+                raise ArtifactFormatError(
+                    f"dir-layout artifact {self.path} has a malformed manifest entry for {name!r}"
+                )
+            members.append((name, entry["crc32"], entry["size"]))
+        return members
+
+    def arrays(self, group: str, mmap_mode: Optional[str]) -> Dict[str, np.ndarray]:
+        """Every array of ``group``, memory-mapped when ``mmap_mode`` is given.
+
+        Keys containing ``/`` (e.g. extra-state keys) map to nested
+        subdirectories on disk, so the walk is recursive.
+        """
+        root = self.path / group
+        arrays: Dict[str, np.ndarray] = {}
+        for member in sorted(root.rglob("*.npy")):
+            if not member.is_file():
+                continue
+            key = member.relative_to(root).as_posix()[: -len(".npy")]
+            try:
+                arrays[key] = np.load(member, mmap_mode=mmap_mode, allow_pickle=False)
+            except (OSError, ValueError) as error:
+                raise ArtifactFormatError(
+                    f"artifact {self.path} has an unreadable {group} array {member.name}: {error}"
+                ) from error
+        return arrays
+
+
+def _open_artifact(path: Path) -> _Reader:
+    """The one place a reader decides the layout: a directory is a ``dir`` artifact.
+
+    Anything else is read as an ``npz`` archive.  Returns an unopened
+    reader — ``with _open_artifact(path) as artifact:`` opens it — so a
+    caller can refuse what the layout cannot do (``mmap=True`` on an npz)
+    before reading a byte.
+    """
+    return _DirReader(path) if path.is_dir() else _NpzReader(path)
+
+
+def _read_state(
+    artifact: _Reader, header: ArtifactHeader, mmap_mode: Optional[str]
+) -> Dict[str, np.ndarray]:
+    state = artifact.arrays("state", mmap_mode)
     missing = set(header.state_keys) - set(state)
     if missing:
         raise ArtifactFormatError(
-            f"artifact {path} is missing state arrays recorded in its header: {sorted(missing)}"
+            f"artifact {artifact.path} is missing state arrays recorded in its header: "
+            f"{sorted(missing)}"
         )
     return state
+
+
+def _read_index(artifact: _Reader, header: ArtifactHeader) -> Dict[str, np.ndarray]:
+    """The embedded retrieval index's arrays; empty when the header declares none."""
+    if header.retrieval is None:
+        return {}
+    arrays = artifact.arrays("index", None)
+    if not arrays:
+        raise ArtifactFormatError(
+            f"artifact {artifact.path} declares a retrieval index in its header but carries no "
+            f"{_INDEX_PREFIX!r} arrays (truncated or hand-edited write?)"
+        )
+    return arrays
 
 
 def read_header(path: Union[str, Path]) -> ArtifactHeader:
     """Read and validate only the JSON header of an artifact (either layout)."""
-    path = Path(path)
-    if path.is_dir():
-        return _read_dir_header(path)
-    with _open_archive(path) as archive:
-        return _header_from_archive(archive, path)
-
-
-def _header_from_archive(archive, path: Path) -> ArtifactHeader:
-    if _HEADER_KEY not in archive.files:
-        raise ArtifactFormatError(
-            f"{path} is an npz archive but carries no {_HEADER_KEY!r} entry; "
-            f"it was not written by repro.persist.save_model"
-        )
-    try:
-        raw = archive[_HEADER_KEY]
-        header_bytes = bytes(np.asarray(raw, dtype=np.uint8))
-    except (zipfile.BadZipFile, OSError, ValueError, TypeError) as error:
-        raise ArtifactFormatError(f"artifact header of {path} is unreadable: {error}") from error
-    return ArtifactHeader.from_json(header_bytes.decode("utf-8", errors="replace"))
-
-
-def _state_from_archive(archive, header: ArtifactHeader, path: Path) -> Dict[str, np.ndarray]:
-    state: Dict[str, np.ndarray] = {}
-    try:
-        for key in archive.files:
-            if key.startswith(_STATE_PREFIX):
-                state[key[len(_STATE_PREFIX):]] = archive[key]
-    except (zipfile.BadZipFile, OSError, ValueError) as error:
-        raise ArtifactFormatError(f"artifact {path} has unreadable state arrays: {error}") from error
-    missing = set(header.state_keys) - set(state)
-    if missing:
-        raise ArtifactFormatError(
-            f"artifact {path} is missing state arrays recorded in its header: {sorted(missing)}"
-        )
-    return state
+    with _open_artifact(Path(path)) as artifact:
+        return artifact.header()
 
 
 def read_state_dict(path: Union[str, Path]) -> Tuple[ArtifactHeader, Dict[str, np.ndarray]]:
     """Read the header and the full parameter state of an artifact (either layout)."""
-    path = Path(path)
-    if path.is_dir():
-        header = _read_dir_header(path)
-        return header, _dir_state(path, header, mmap_mode=None)
-    with _open_archive(path) as archive:
-        header = _header_from_archive(archive, path)
-        state = _state_from_archive(archive, header, path)
-    return header, state
+    with _open_artifact(Path(path)) as artifact:
+        header = artifact.header()
+        return header, _read_state(artifact, header, mmap_mode=None)
 
 
 def read_retrieval_state(
@@ -830,32 +886,10 @@ def read_retrieval_state(
     header declares an index but whose ``index/`` arrays are missing is
     corrupt and raises :class:`ArtifactFormatError`.
     """
-    path = Path(path)
-    if path.is_dir():
-        header = _read_dir_header(path)
-        if header.retrieval is None:
-            return None
-        arrays = _dir_arrays(path, "index", mmap_mode=None)
-    else:
-        with _open_archive(path) as archive:
-            header = _header_from_archive(archive, path)
-            if header.retrieval is None:
-                return None
-            arrays = {}
-            try:
-                for key in archive.files:
-                    if key.startswith(_INDEX_PREFIX):
-                        arrays[key[len(_INDEX_PREFIX):]] = archive[key]
-            except (zipfile.BadZipFile, OSError, ValueError) as error:
-                raise ArtifactFormatError(
-                    f"artifact {path} has unreadable retrieval-index arrays: {error}"
-                ) from error
-    if not arrays:
-        raise ArtifactFormatError(
-            f"artifact {path} declares a retrieval index in its header but carries no "
-            f"{_INDEX_PREFIX!r} arrays (truncated or hand-edited write?)"
-        )
-    return dict(header.retrieval), arrays
+    with _open_artifact(Path(path)) as artifact:
+        header = artifact.header()
+        index = _read_index(artifact, header)
+    return None if header.retrieval is None else (dict(header.retrieval), index)
 
 
 def _check_schema(header: ArtifactHeader, dataset: "GroupBuyingDataset", path: Path) -> None:
@@ -958,31 +992,24 @@ def load_model(
     :func:`migrate_artifact`.
     """
     path = Path(path)
-    if path.is_dir():
-        use_mmap = mmap is None or bool(mmap)
-        header = _read_dir_header(path)
+    artifact = _open_artifact(path)
+    if mmap and not artifact.mmappable:
+        raise ArtifactLayoutError(
+            f"artifact {path} uses the single-file npz layout, whose members are "
+            f"compressed and cannot be memory-mapped; convert it first with "
+            f"repro.persist.migrate_artifact({str(path)!r}, to_layout='dir')"
+        )
+    with artifact:
+        # Validate against the header before reading any state arrays, so
+        # a rejected load costs O(header), not O(artifact).
+        header = artifact.header()
         _check_schema(header, train_dataset, path)
-        state = _dir_state(path, header, mmap_mode="r" if use_mmap else None)
-        # Zero-copy bind: mmap arrays must stay shared pages, and a plain
-        # (non-mmap) dir load already owns its freshly-read arrays.
-        copy = False
-    else:
-        if mmap:
-            raise ArtifactLayoutError(
-                f"artifact {path} uses the single-file npz layout, whose members are "
-                f"compressed and cannot be memory-mapped; convert it first with "
-                f"repro.persist.migrate_artifact({str(path)!r}, to_layout='dir')"
-            )
-        with _open_archive(path) as archive:
-            # Validate against the header before decompressing any state
-            # arrays, so a rejected load costs O(header), not O(archive).
-            header = _header_from_archive(archive, path)
-            _check_schema(header, train_dataset, path)
-            state = _state_from_archive(archive, header, path)
-        copy = True
+        state = _read_state(artifact, header, mmap_mode=None if mmap is False else "r")
     model = _rebuild_model(header, train_dataset, path)
     try:
-        model.load_state_dict(state, copy=copy)
+        # Zero-copy bind: every reader returns arrays the model can own —
+        # fresh reads, or read-only maps that must stay shared pages.
+        model.load_state_dict(state, copy=False)
     except (KeyError, ValueError) as error:
         raise ArtifactFormatError(
             f"artifact {path} state does not fit the rebuilt {header.model_name!r} model: {error}"
@@ -1019,8 +1046,9 @@ def load_state_into(
     else:
         dataset = None
 
-    def check_identity(header: ArtifactHeader) -> None:
-        target_name = getattr(model, "_registry_name", None) or model.name
+    target_name = getattr(model, "_registry_name", None) or model.name
+    with _open_artifact(path) as artifact:
+        header = artifact.header()
         if header.model_name != target_name:
             # Different models can share parameter keys and shapes (MF vs
             # SocialMF), so key/shape validation alone cannot catch this.
@@ -1030,16 +1058,7 @@ def load_state_into(
             )
         if dataset is not None:
             _check_schema(header, dataset, path)
-
-    if path.is_dir():
-        header = _read_dir_header(path)
-        check_identity(header)
-        state = _dir_state(path, header, mmap_mode=None)
-    else:
-        with _open_archive(path) as archive:
-            header = _header_from_archive(archive, path)
-            check_identity(header)
-            state = _state_from_archive(archive, header, path)
+        state = _read_state(artifact, header, mmap_mode=None)
     try:
         model.load_state_dict(state)
     except (KeyError, ValueError) as error:

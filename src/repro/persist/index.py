@@ -16,6 +16,10 @@ read) and pairs it with two freshness identities:
   replacements inside one mtime tick, where the stat identity is blind
   (coarse-mtime filesystems, fast CI, ``os.utime``-pinned copies).
 
+Both reads go through ``artifact._open_artifact``, the one place a reader
+decides the layout; this module's only own layout branch is
+:func:`artifact_stat`, because the file it stats differs by layout.
+
 Example — write two artifacts, then index the directory without loading a
 single weight array:
 
@@ -41,23 +45,14 @@ single weight array:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 import time
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Iterable, Tuple, Union
 
-from .artifact import (
-    DIR_HEADER_FILENAME,
-    DIR_SUFFIX,
-    ArtifactHeader,
-    _header_from_archive,
-    _open_archive,
-    _read_dir_payload,
-)
+from .artifact import DIR_HEADER_FILENAME, DIR_SUFFIX, ArtifactHeader, _open_artifact
 from .errors import ArtifactError, ArtifactFormatError
 
 __all__ = [
@@ -99,43 +94,14 @@ def artifact_content_token(path: Union[str, Path]) -> str:
     :class:`~repro.persist.errors.ArtifactFormatError` for paths that are
     not readable artifacts (including files that vanished).
     """
-    path = Path(path)
-    if path.is_dir():
-        return _token_from_manifest(_read_dir_payload(path), path)
-    try:
-        with zipfile.ZipFile(path) as archive:
-            return _token_from_members(archive.infolist())
-    except FileNotFoundError as error:
-        raise ArtifactFormatError(
-            f"artifact file vanished before its content could be read: {path}"
-        ) from error
-    except (zipfile.BadZipFile, OSError, ValueError) as error:
-        raise ArtifactFormatError(f"{path} is not a readable npz artifact: {error}") from error
+    with _open_artifact(Path(path)) as artifact:
+        return _content_token(artifact.members())
 
 
-def _token_from_members(members) -> str:
+def _content_token(members: Iterable[Tuple[str, int, int]]) -> str:
     hasher = hashlib.sha256()
-    for member in members:
-        hasher.update(f"{member.filename}:{member.CRC}:{member.file_size};".encode("utf-8"))
-    return hasher.hexdigest()
-
-
-def _token_from_manifest(payload: Dict, path: Path) -> str:
-    """Content token of a ``dir``-layout artifact from its header manifest."""
-    members = payload.get("members")
-    if not isinstance(members, dict) or not members:
-        raise ArtifactFormatError(
-            f"dir-layout artifact {path} has no members manifest in its "
-            f"{DIR_HEADER_FILENAME}; it was not written by repro.persist.save_model"
-        )
-    hasher = hashlib.sha256()
-    for name in sorted(members):
-        entry = members[name]
-        if not isinstance(entry, dict) or "crc32" not in entry or "size" not in entry:
-            raise ArtifactFormatError(
-                f"dir-layout artifact {path} has a malformed manifest entry for {name!r}"
-            )
-        hasher.update(f"{name}:{entry['crc32']}:{entry['size']};".encode("utf-8"))
+    for name, crc, size in members:
+        hasher.update(f"{name}:{crc}:{size};".encode("utf-8"))
     return hasher.hexdigest()
 
 
@@ -150,7 +116,7 @@ class ArtifactInfo:
     ``content_token`` (:func:`artifact_content_token`) is the backstop for
     the stat identity's blind spot: a same-size replacement landing within
     one mtime tick still changes the token, because the token covers the
-    zip members' CRC-32 checksums.
+    members' CRC-32 checksums.
     """
 
     path: Path
@@ -228,27 +194,12 @@ def read_artifact_header(path: Union[str, Path]) -> ArtifactInfo:
         ) from error
     except OSError as error:
         raise ArtifactFormatError(f"artifact file is not readable: {path} ({error})") from error
-    if path.is_dir():
-        # One payload read serves both the header and the content token, so
-        # they always describe the same publish even under concurrent swaps.
-        payload = _read_dir_payload(path)
-        header = ArtifactHeader.from_json(json.dumps(payload))
-        token = _token_from_manifest(payload, path)
-        return ArtifactInfo(
-            path=path,
-            header=header,
-            size_bytes=stat.st_size,
-            mtime_ns=stat.st_mtime_ns,
-            content_token=token,
-        )
-    # One archive open serves both reads: the content token comes from the
-    # zip central directory that np.load's NpzFile already parsed.
-    with _open_archive(path) as archive:
-        zip_backend = getattr(archive, "zip", None)
-        token = _token_from_members(zip_backend.infolist()) if zip_backend is not None else None
-        header = _header_from_archive(archive, path)
-    if token is None:  # numpy stopped exposing the zip backend; re-open
-        token = artifact_content_token(path)
+    # One open serves both reads (one zip central directory, or one parse
+    # of header.json), so the header and the content token always describe
+    # the same publish even under concurrent swaps.
+    with _open_artifact(path) as artifact:
+        header = artifact.header()
+        token = _content_token(artifact.members())
     return ArtifactInfo(
         path=path,
         header=header,

@@ -228,7 +228,8 @@ class ModelCatalog:
     Parameters
     ----------
     directory:
-        The artifact directory to scan (``pattern`` selects the files).
+        The artifact directory to scan: every ``*.npz`` file and every
+        ``*.npyd`` (``dir``-layout) subdirectory in it is an entry.
     train_dataset:
         The dataset every artifact must have been trained on; each header's
         schema fingerprint is verified against it at scan time, so a model
@@ -243,9 +244,9 @@ class ModelCatalog:
         Defaults for recommenders built by :meth:`recommender`.
     verify_content:
         When True (default), the per-access freshness check also compares
-        the artifact's content token (npz CRC digest), so a same-size
-        replacement within one mtime tick is still hot-swapped.  The token
-        is re-read while the file's mtime is recent
+        the artifact's content token (a digest of its member CRCs), so a
+        same-size replacement within one mtime tick is still hot-swapped.
+        The token is re-read while the file's mtime is recent
         (:attr:`content_check_grace_seconds`) — the window where the stat
         identity can be blind — and otherwise at most once per grace
         period, which bounds detection of a swap first accessed much later
@@ -283,8 +284,6 @@ class ModelCatalog:
         resident_budget: Optional[int] = None,
         default_k: int = 10,
         exclude_observed: bool = True,
-        pattern: str = "*.npz",
-        dir_pattern: str = "*.npyd",
         verify_content: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         retrieval: Optional[RetrievalPolicy] = None,
@@ -297,23 +296,19 @@ class ModelCatalog:
         self.resident_budget = resident_budget
         self.default_k = default_k
         self.exclude_observed = exclude_observed
-        self.pattern = pattern
-        #: Subdirectories matching this glob are served as mmap-able
-        #: ``dir``-layout artifacts alongside ``pattern``-matched files.
-        self.dir_pattern = dir_pattern
         self.verify_content = verify_content
         self.retrieval = retrieval
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Servable entries by catalog name (file stem), filled by :meth:`scan`.
         self.entries: Dict[str, CatalogEntry] = {}
-        #: Files matching the pattern that cannot be served, with the reason.
+        #: Artifacts in the directory that cannot be served, with the reason.
         self.rejected: Dict[str, str] = {}
         self.stats = CatalogStats()
         # Lock hierarchy (acquire outer before inner, never the reverse):
         #   entry.load_lock  →  self._lock  →  MetricsRegistry._lock
         # self._lock guards entries/rejected/_residents/stats/_observed and
         # is held only for in-memory bookkeeping plus cheap freshness IO
-        # (stat + central-directory read), never for a model load.
+        # (stat + content-token read), never for a model load.
         self._lock = threading.RLock()
         self._residents: "OrderedDict[str, _Resident]" = OrderedDict()
         # Built eagerly: the serving dataset is fixed for the catalog's
@@ -350,9 +345,7 @@ class ModelCatalog:
         serving traffic — this is what a background
         :class:`~repro.serving.warmer.CatalogWarmer` cycle does.
         """
-        scan = scan_artifact_directory(
-            self.directory, pattern=self.pattern, dir_pattern=self.dir_pattern
-        )
+        scan = scan_artifact_directory(self.directory)
         scanned_at = time.time_ns()  # every scanned header carried a fresh token
         with self._lock:
             self.rejected = dict(scan.failures)
@@ -702,10 +695,11 @@ class ModelCatalog:
             if not self.verify_content:
                 return
             # Stat identity unchanged — but a same-size replacement within
-            # one mtime tick is invisible to stat.  The content token (npz
-            # CRC digest, no decompression) closes that hole.  Reading it
-            # on *every* access would put file IO on the steady-state hot
-            # path, so it runs only when the swap could actually be hiding:
+            # one mtime tick is invisible to stat.  The content token (a
+            # digest of member CRCs, no decompression) closes that hole.
+            # Reading it on *every* access would put file IO on the
+            # steady-state hot path, so it runs only when the swap could
+            # actually be hiding:
             # while the file's mtime is recent (a same-tick replacement can
             # only happen inside the still-current tick), or once per grace
             # period as a periodic re-check — which bounds the detection

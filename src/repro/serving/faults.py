@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
+from ..persist.artifact import DIR_HEADER_FILENAME
 from . import forksafe
 
 __all__ = [
@@ -271,7 +272,7 @@ def corrupt_artifact(path: Union[str, Path], seed: int = 0, num_bytes: int = 8) 
     Seeded: the same ``(path, seed)`` flips the same bytes.
     """
     path = Path(path)
-    target = path / "header.json" if path.is_dir() else path
+    target = path / DIR_HEADER_FILENAME if path.is_dir() else path
     data = bytearray(target.read_bytes())
     if not data:
         raise ValueError(f"cannot corrupt empty file {target}")

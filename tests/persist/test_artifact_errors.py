@@ -2,21 +2,31 @@
 
 Corruption, truncated headers, schema mismatches and future format
 versions must each raise the matching :class:`ArtifactError` subclass with
-an actionable message — never return a half-loaded model.
+an actionable message — never return a half-loaded model.  Cases that
+apply to both on-disk layouts run against an ``npz`` archive and a ``dir``
+artifact; :class:`TestDirLayoutErrors` covers the faults only a directory
+of ``.npy`` members can have.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.models import ModelSettings, build_model
 from repro.persist import (
+    DIR_HEADER_FILENAME,
+    LAYOUT_DIR,
+    LAYOUT_NPZ,
     ArtifactError,
     ArtifactFormatError,
+    ArtifactLayoutError,
     ArtifactVersionError,
     SchemaMismatchError,
+    artifact_content_token,
     load_model,
+    read_artifact_header,
     read_header,
     read_state_dict,
     save_model,
@@ -26,22 +36,55 @@ from repro.persist.artifact import FORMAT_VERSION, _HEADER_KEY, _STATE_PREFIX
 pytestmark = pytest.mark.persist
 
 SETTINGS = ModelSettings(embedding_dim=8)
+SUFFIX = {LAYOUT_NPZ: ".npz", LAYOUT_DIR: ".npyd"}
+#: Readers that parse the JSON header, in both layouts.
+HEADER_READERS = [read_header, read_artifact_header]
+KNN_INDICES = "__extra__/similarity.indices"
+
+
+@pytest.fixture(params=[LAYOUT_NPZ, LAYOUT_DIR])
+def layout(request):
+    return request.param
+
+
+def save(model, directory: Path, stem: str, layout: str) -> Path:
+    path = directory / f"{stem}{SUFFIX[layout]}"
+    save_model(model, path, layout=layout)
+    return path
 
 
 @pytest.fixture()
-def artifact(small_split, tmp_path):
-    model = build_model("MF", small_split.train, SETTINGS)
-    path = tmp_path / "mf.npz"
-    save_model(model, path)
-    return path
+def artifact(small_split, tmp_path, layout):
+    return save(build_model("MF", small_split.train, SETTINGS), tmp_path, "mf", layout)
 
 
 def rewrite_header(path, mutate):
     """Rewrite an artifact with its JSON header transformed by ``mutate``."""
+    if path.is_dir():
+        header = path / DIR_HEADER_FILENAME
+        header.write_text(mutate(header.read_text("utf-8")), "utf-8")
+        return
     with np.load(path) as archive:
         arrays = {key: archive[key] for key in archive.files}
     header_text = bytes(arrays[_HEADER_KEY]).decode("utf-8")
     arrays[_HEADER_KEY] = np.frombuffer(mutate(header_text).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def rewrite_state(path, key, transform):
+    """Replace state array ``key`` by ``transform(array)``; ``None`` drops it."""
+    if path.is_dir():
+        member = path / f"{_STATE_PREFIX}{key}.npy"
+        value = transform(np.load(member))
+        member.unlink()
+        if value is not None:
+            np.save(member, value)
+        return
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    value = transform(arrays.pop(_STATE_PREFIX + key))
+    if value is not None:
+        arrays[_STATE_PREFIX + key] = value
     np.savez(path, **arrays)
 
 
@@ -75,15 +118,17 @@ class TestCorruption:
         with pytest.raises(ArtifactFormatError, match="unreadable"):
             read_header(path)
 
-    def test_truncated_json_header_raises_format_error(self, artifact):
+    @pytest.mark.parametrize("read", HEADER_READERS)
+    def test_truncated_json_header_raises_format_error(self, artifact, read):
         rewrite_header(artifact, lambda text: text[: len(text) // 2])
         with pytest.raises(ArtifactFormatError, match="not valid JSON"):
-            read_header(artifact)
+            read(artifact)
 
-    def test_non_dict_json_header_raises_format_error(self, artifact):
+    @pytest.mark.parametrize("read", HEADER_READERS)
+    def test_non_dict_json_header_raises_format_error(self, artifact, read):
         rewrite_header(artifact, lambda text: "[1, 2, 3]")
         with pytest.raises(ArtifactFormatError, match="JSON object"):
-            read_header(artifact)
+            read(artifact)
 
     def test_header_wrong_format_name_raises(self, artifact):
         def mutate(text):
@@ -95,42 +140,38 @@ class TestCorruption:
         with pytest.raises(ArtifactFormatError, match="somebody-elses-format"):
             read_header(artifact)
 
-    def test_bit_flipped_csr_indices_fail_loudly(self, small_split, tmp_path):
+    def test_bit_flipped_csr_indices_fail_loudly(self, small_split, tmp_path, layout):
         """Out-of-bounds index arrays in extra state must not load silently."""
-        model = build_model("ItemKNN", small_split.train, SETTINGS)
-        path = tmp_path / "knn.npz"
-        save_model(model, path)
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        key = _STATE_PREFIX + "__extra__/similarity.indices"
-        corrupted = arrays[key].copy()
-        corrupted[0] = small_split.train.num_items + 100  # column out of range
-        arrays[key] = corrupted
-        np.savez(path, **arrays)
+        path = save(build_model("ItemKNN", small_split.train, SETTINGS), tmp_path, "knn", layout)
+
+        def flip(indices):
+            corrupted = indices.copy()
+            corrupted[0] = small_split.train.num_items + 100  # column out of range
+            return corrupted
+
+        rewrite_state(path, KNN_INDICES, flip)
         with pytest.raises(ArtifactFormatError, match="similarity"):
             load_model(path, small_split.train)
 
-    def test_float_typed_csr_indices_fail_loudly(self, small_split, tmp_path):
+    def test_float_typed_csr_indices_fail_loudly(self, small_split, tmp_path, layout):
         """Float index arrays would be silently truncated by scipy."""
-        model = build_model("ItemKNN", small_split.train, SETTINGS)
-        path = tmp_path / "knn.npz"
-        save_model(model, path)
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        key = _STATE_PREFIX + "__extra__/similarity.indices"
-        arrays[key] = arrays[key].astype(np.float64) + 0.7
-        np.savez(path, **arrays)
+        path = save(build_model("ItemKNN", small_split.train, SETTINGS), tmp_path, "knn", layout)
+        rewrite_state(path, KNN_INDICES, lambda indices: indices.astype(np.float64) + 0.7)
         with pytest.raises(ArtifactFormatError, match="integer-typed"):
             load_model(path, small_split.train)
 
-    def test_missing_state_arrays_raise_format_error(self, artifact):
-        with np.load(artifact) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        dropped = next(key for key in arrays if key.startswith(_STATE_PREFIX))
-        del arrays[dropped]
-        np.savez(artifact, **arrays)
+    def test_mmap_on_npz_is_refused_before_any_read(self, small_split, tmp_path, monkeypatch):
+        path = save(build_model("MF", small_split.train, SETTINGS), tmp_path, "mf", LAYOUT_NPZ)
+        monkeypatch.setattr(np, "load", lambda *args, **kwargs: pytest.fail("the archive was read"))
+        with pytest.raises(ArtifactLayoutError, match="migrate_artifact"):
+            load_model(path, small_split.train, mmap=True)
+
+    def test_missing_state_arrays_raise_format_error(self, artifact, small_split):
+        rewrite_state(artifact, read_header(artifact).state_keys[0], lambda array: None)
         with pytest.raises(ArtifactFormatError, match="missing state arrays"):
             read_state_dict(artifact)
+        with pytest.raises(ArtifactFormatError, match="missing state arrays"):
+            load_model(artifact, small_split.train)
 
 
 class TestVersioning:
@@ -256,6 +297,97 @@ class TestSchemaMismatch:
         rewrite_header(artifact, mutate)
         with pytest.raises(SchemaMismatchError, match="load_state_into"):
             load_model(artifact, small_split.train)
+
+
+def rewrite_payload(path, mutate):
+    """Apply ``mutate`` to the parsed ``header.json`` of a dir artifact in place."""
+
+    def rewrite(text):
+        payload = json.loads(text)
+        mutate(payload)
+        return json.dumps(payload)
+
+    rewrite_header(path, rewrite)
+
+
+class TestDirLayoutErrors:
+    """Faults only a directory of ``.npy`` members plus ``header.json`` can have."""
+
+    @pytest.fixture()
+    def artifact(self, small_split, tmp_path):
+        return save(build_model("MF", small_split.train, SETTINGS), tmp_path, "mf", LAYOUT_DIR)
+
+    @pytest.mark.parametrize(
+        "read,fragment",
+        [
+            (read_header, "without a header.json"),
+            (artifact_content_token, "without a header.json"),
+            # The stat of header.json comes first and names the race.
+            (read_artifact_header, "vanished"),
+        ],
+    )
+    def test_directory_without_header_raises(self, artifact, read, fragment):
+        (artifact / DIR_HEADER_FILENAME).unlink()
+        with pytest.raises(ArtifactFormatError, match=fragment):
+            read(artifact)
+
+    @pytest.mark.parametrize("read", HEADER_READERS + [artifact_content_token])
+    @pytest.mark.parametrize("damage", ["undecodable", "directory"])
+    def test_unreadable_header_raises(self, artifact, read, damage):
+        header = artifact / DIR_HEADER_FILENAME
+        if damage == "undecodable":
+            header.write_bytes(b'\xff\xfe{"format": 1}')
+        else:
+            header.unlink()
+            header.mkdir()  # stat succeeds, the read fails with an OSError
+        with pytest.raises(ArtifactFormatError, match="unreadable"):
+            read(artifact)
+
+    @pytest.mark.parametrize(
+        "mutate,fragment",
+        [(lambda text: text[: len(text) // 2], "not valid JSON"), (lambda text: '"a"', "JSON object")],
+        ids=["truncated", "string"],
+    )
+    def test_content_token_parses_the_header(self, artifact, mutate, fragment):
+        rewrite_header(artifact, mutate)
+        with pytest.raises(ArtifactFormatError, match=fragment):
+            artifact_content_token(artifact)
+
+    @pytest.mark.parametrize("read", [artifact_content_token, read_artifact_header])
+    @pytest.mark.parametrize("manifest", [None, {}, [1, 2]], ids=["absent", "empty", "list"])
+    def test_header_without_members_manifest_raises(self, artifact, read, manifest):
+        def mutate(payload):
+            if manifest is None:
+                del payload["members"]
+            else:
+                payload["members"] = manifest
+
+        rewrite_payload(artifact, mutate)
+        with pytest.raises(ArtifactFormatError, match="no members manifest"):
+            read(artifact)
+
+    @pytest.mark.parametrize("read", [artifact_content_token, read_artifact_header])
+    @pytest.mark.parametrize("damage", ["crc32", "size", "entry"])
+    def test_malformed_manifest_entry_raises(self, artifact, read, damage):
+        def mutate(payload):
+            first = sorted(payload["members"])[0]
+            if damage == "entry":
+                payload["members"][first] = 7
+            else:
+                del payload["members"][first][damage]
+
+        rewrite_payload(artifact, mutate)
+        with pytest.raises(ArtifactFormatError, match="malformed manifest entry"):
+            read(artifact)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_unreadable_npy_member_raises(self, artifact, small_split, mmap):
+        member = artifact / f"{_STATE_PREFIX}{read_header(artifact).state_keys[0]}.npy"
+        member.write_bytes(b"not an npy file")
+        with pytest.raises(ArtifactFormatError, match="unreadable state array"):
+            load_model(artifact, small_split.train, mmap=mmap)
+        with pytest.raises(ArtifactFormatError, match="unreadable state array"):
+            read_state_dict(artifact)
 
 
 class TestErrorTaxonomy:

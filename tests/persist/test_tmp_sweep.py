@@ -9,7 +9,10 @@ fixed sweep requires *both* a dead owner PID and the age window
 (:data:`repro.persist.TMP_SWEEP_MAX_AGE_SECONDS`).
 
 ``test_live_owner_vetoes_reaping`` is the regression: it fails on the
-age-only implementation.  The ``procs``-marked test drives two real
+age-only implementation.  A ``dir``-layout republish first renames the
+previous artifact aside to ``.{artifact}.old-{pid}-{attempt}``; a writer
+killed before deleting it leaves a full model copy behind, which the sweep
+reaps under the same two rules.  The ``procs``-marked test drives two real
 writer processes at one path and checks nobody's work is swept.
 """
 
@@ -97,6 +100,33 @@ class TestSweepRules:
         save_model(build_model("MF", small_split.train, SETTINGS), target, layout=LAYOUT_DIR)
         assert not orphan.exists()
 
+    def test_dead_owner_retired_directory_is_reaped(self, small_split, tmp_path):
+        """A writer killed between retiring the old artifact and deleting it."""
+        probe = subprocess.Popen([sys.executable, "-c", "pass"])
+        probe.wait()
+        target = tmp_path / "m.npyd"
+        retired = tmp_path / f".m.npyd.old-{probe.pid}-0"
+        save_model(build_model("MF", small_split.train, SETTINGS), retired, layout=LAYOUT_DIR)
+        _backdate(retired)
+
+        save_model(build_model("MF", small_split.train, SETTINGS), target, layout=LAYOUT_DIR)
+        assert not retired.exists(), "a dead writer's retired artifact must be swept"
+
+    def test_live_owner_retired_directory_survives(self, small_split, tmp_path):
+        """A live writer's retired copy is neither reaped nor reused."""
+        target = tmp_path / "m.npyd"
+        retired = tmp_path / f".m.npyd.old-{os.getpid()}-0"
+        retired.mkdir()
+        (retired / "marker").write_bytes(b"mid-swap copy of a live writer")
+        _backdate(retired)
+
+        # The second save republishes, so it retires the first artifact
+        # under a fresh name: the taken `-0` name is skipped.
+        for _ in range(2):
+            save_model(build_model("MF", small_split.train, SETTINGS), target, layout=LAYOUT_DIR)
+        assert (retired / "marker").read_bytes() == b"mid-swap copy of a live writer"
+        assert load_model(target, small_split.train).name == "MF"
+
     def test_foreign_temp_names_are_left_alone(self, small_split, tmp_path):
         """A temp entry with no parseable owner PID is never touched."""
         target = tmp_path / "m.npz"
@@ -177,5 +207,9 @@ def test_two_processes_saving_one_path_never_reap_each_other(small_split, tmp_pa
 
     loaded = load_model(target, small_split.train)
     assert loaded.score_all_items(np.arange(4)).shape == (4, small_split.train.num_items)
-    litter = [entry.name for entry in tmp_path.iterdir() if ".tmp-" in entry.name]
+    litter = [
+        entry.name
+        for entry in tmp_path.iterdir()
+        if ".tmp-" in entry.name or ".old-" in entry.name
+    ]
     assert litter == [], f"temp debris left behind: {litter}"
