@@ -5,7 +5,10 @@ Each input file holds the standard output of one or more runs of
 ``{"detail": ...}`` line, which names the workload and seed, followed by
 its result line ``{"correct", "attempted", "failed", "metrics"}``.  Runs
 of the two sides pair up by ``(workload, seed)``; a seed run on one side
-only is left out.
+only is left out.  The detail line's ``inputs_digest`` hashes the arrays
+the run was fed: a pair whose two digests differ (say, one side ran with
+another ``--seconds``) did not run the same inputs, and fails the
+comparison.  A run without a digest counts as unknown and pairs as usual.
 
 For each workload and each end-to-end metric declared in
 ``BENCHMARK.json`` the report gives both medians and quartiles, the
@@ -31,7 +34,8 @@ Usage::
     python benchmarks/compare_pairs.py --parent parent/*.txt --change change/*.txt
 
 The exit status is 1 when the comparison fails (a ``regression`` verdict,
-an incorrect change run, or a larger failed share on the change side), 2
+an incorrect change run, a larger failed share on the change side, or a
+pair whose inputs digests differ), 2
 when no ``(workload, seed)`` pair was run on both sides, and 0 otherwise.
 """
 
@@ -61,6 +65,7 @@ class Run:
     attempted: int
     failed: int
     metrics: Dict[str, float]
+    inputs_digest: Optional[str] = None
 
 
 @dataclass
@@ -84,12 +89,15 @@ class WorkloadReport:
     attempted: Tuple[int, int]
     incorrect: Tuple[int, int]
     rows: List[MetricRow] = field(default_factory=list)
+    #: ``(seed, parent digest, change digest)`` of each pair whose inputs differ.
+    inputs_differ: List[Tuple[int, str, str]] = field(default_factory=list)
 
     @property
     def failed_comparison(self) -> bool:
-        """A regression verdict, an incorrect change run or a risen failed share."""
+        """A regression verdict, an incorrect change run, a risen failed share or unequal inputs."""
         regressed = any(row.verdict == "regression" for row in self.rows)
-        return regressed or self.incorrect[1] > 0 or self.failure_share_rose
+        unequal_inputs = bool(self.inputs_differ)
+        return regressed or self.incorrect[1] > 0 or self.failure_share_rose or unequal_inputs
 
     @property
     def failure_share_rose(self) -> bool:
@@ -102,6 +110,7 @@ def parse_runs(lines: Iterable[str]) -> Dict[Tuple[str, int], Run]:
     """``{(workload, seed): Run}`` from the output lines of ``perfbench/run.py``."""
     runs: Dict[Tuple[str, int], Run] = {}
     key: Optional[Tuple[str, int]] = None
+    digest: Optional[str] = None
     for line in lines:
         line = line.strip()
         if not line.startswith("{"):
@@ -109,6 +118,7 @@ def parse_runs(lines: Iterable[str]) -> Dict[Tuple[str, int], Run]:
         record = json.loads(line)
         if "detail" in record:
             key = (str(record["detail"]["workload"]), int(record["detail"]["seed"]))
+            digest = record["detail"].get("inputs_digest")
         elif "correct" in record:
             if key is None:
                 raise ValueError("a result line precedes any detail line")
@@ -119,6 +129,7 @@ def parse_runs(lines: Iterable[str]) -> Dict[Tuple[str, int], Run]:
                 attempted=int(record["attempted"]),
                 failed=int(record["failed"]),
                 metrics={name: float(m["value"]) for name, m in record["metrics"].items()},
+                inputs_digest=digest,
             )
             key = None
     return runs
@@ -174,6 +185,11 @@ def compare(
             failed=(sum(r.failed for r in parent), sum(r.failed for r in change)),
             attempted=(sum(r.attempted for r in parent), sum(r.attempted for r in change)),
             incorrect=(sum(not r.correct for r in parent), sum(not r.correct for r in change)),
+            inputs_differ=[
+                (key[1], p.inputs_digest, c.inputs_digest)
+                for key, p, c in zip(keys, parent, change)
+                if p.inputs_digest and c.inputs_digest and p.inputs_digest != c.inputs_digest
+            ],
         )
         for metric in end_to_end:
             name = metric["name"]
@@ -208,6 +224,11 @@ def format_report(reports: Sequence[WorkloadReport]) -> str:
             f"incorrect runs parent {report.incorrect[0]}, change {report.incorrect[1]}"
             + ("; FAILURE SHARE ROSE" if report.failure_share_rose else "")
         )
+        for seed, parent_digest, change_digest in report.inputs_differ:
+            out.append(
+                f"  INPUTS DIFFER: {report.workload} seed {seed}: parent inputs_digest "
+                f"{parent_digest}, change {change_digest}"
+            )
         out.append(
             f"  {'metric':14s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s} "
             f"{'change':>8s} {'spread':>7s} {'bound':>6s} {'wins':>6s}  verdict"

@@ -8,7 +8,7 @@ ahead as the catalog grows.  This benchmark measures both paths on the same
 MF model at three catalog sizes, records recall@10 against exact search at
 each point, and writes the curve into ``BENCH_serving.json``
 (``results.retrieval_scaling``, schema ``repro-serving-bench/v6``) next to
-the catalog-serving numbers.
+the catalog-serving numbers, with the ``host`` it was measured on.
 
 Run with ``REPRO_RUN_SLOW=1`` (the 1M point builds a 1000-cell k-means
 index over a million item vectors — tens of seconds, off the tier-1 path).
@@ -25,7 +25,7 @@ from repro.data.schema import GroupBuyingBehavior, SocialEdge
 from repro.models import ModelSettings, build_model
 from repro.serving import EmbeddingStore, TopKRecommender, build_index_for_model
 
-from _bench import SERVING_SCHEMA, write_sections
+from _bench import SERVING_SCHEMA, host_block, write_sections
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
@@ -179,6 +179,7 @@ def test_write_retrieval_scaling_into_bench_json():
         "top_k": TOP_K,
         "sample_users": SAMPLE_USERS,
         "model": "MF",
+        "host": host_block(),
         "points": sorted(_CURVE, key=lambda point: point["num_items"]),
     }
     write_sections(OUTPUT_PATH, SERVING_SCHEMA, {"retrieval_scaling": retrieval_scaling})

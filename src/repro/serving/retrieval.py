@@ -58,6 +58,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..autograd.sparse_grad import coalesce_rows
+
 __all__ = ["RetrievalIndexError", "RetrievalIndex", "build_index_for_model"]
 
 #: Identifies the index layout inside artifact headers; bump on change.
@@ -67,9 +69,38 @@ INDEX_KIND = "ivf-flat-ip/v1"
 #: the assignment pass still covers every item exactly once.
 _TRAIN_SAMPLE = 65536
 
+#: Rows per k-means assignment block.  At 100 cells the float64 affinity
+#: block is 1.6 MiB, so it stays in a 2 MiB per-core L2 between the GEMM
+#: that writes it and the argmax that reads it; 16384-row blocks stream
+#: 12.5 MiB each.  On a 2-core Xeon VM they assigned 100k items 1.3x
+#: slower at 100 cells and 300k items 1.9x slower at 1000 cells; blocks of
+#: 1024 to 4096 rows ran within a few percent of each other.
+_ASSIGN_BLOCK = 2048
+
 
 class RetrievalIndexError(ValueError):
     """The index cannot be built or restored (bad shapes, foreign params)."""
+
+
+def _check_permutation(cell_items: np.ndarray) -> None:
+    """Raise unless ``cell_items`` holds each ID in ``range(size)`` exactly once.
+
+    A negative ID would pass through numpy's wrap-around indexing and be
+    served as an item ID; an out-of-range or repeated one loses an item.
+    """
+    num_items = cell_items.size
+    if cell_items.ndim != 1:
+        raise RetrievalIndexError(f"cell_items must be 1-D, got shape {cell_items.shape}")
+    if num_items == 0:
+        return
+    low, high = int(cell_items.min()), int(cell_items.max())
+    if low < 0 or high >= num_items:
+        raise RetrievalIndexError(
+            f"cell_items holds item ID {low if low < 0 else high} outside range({num_items})"
+        )
+    counts = np.bincount(cell_items, minlength=num_items)
+    if counts.max() > 1:
+        raise RetrievalIndexError(f"cell_items repeats item ID {int(np.argmax(counts))}")
 
 
 class RetrievalIndex:
@@ -103,6 +134,7 @@ class RetrievalIndex:
             raise RetrievalIndexError("cell_offsets do not tile cell_items")
         if np.any(np.diff(cell_offsets) < 0):
             raise RetrievalIndexError("cell_offsets must be non-decreasing")
+        _check_permutation(cell_items)
         if nprobe < 1:
             raise RetrievalIndexError(f"nprobe must be positive, got {nprobe}")
         self.centroids = centroids
@@ -130,6 +162,10 @@ class RetrievalIndex:
         ``O(nprobe * sqrt(n))`` candidates).  ``nprobe`` defaults to enough
         cells for a ~5% catalog shortlist, at least 4.  k-means runs Lloyd
         iterations on a bounded seeded sample, then assigns every item once.
+        Each update sums a cell's points with
+        :func:`~repro.autograd.sparse_grad.coalesce_rows`, the CSR fold that
+        adds in occurrence order, so the centroids equal those of an
+        ``np.add.at`` scatter bit for bit, at a fraction of its cost.
         """
         items = np.ascontiguousarray(item_factors, dtype=np.float64)
         if items.ndim != 2 or items.shape[0] == 0:
@@ -154,11 +190,9 @@ class RetrievalIndex:
         for _ in range(max(1, iterations)):
             assignment = cls._nearest_cell(train, centroids)
             counts = np.bincount(assignment, minlength=num_cells).astype(np.float64)
-            sums = np.zeros_like(centroids)
-            np.add.at(sums, assignment, train)
-            occupied = counts > 0
-            centroids[occupied] = sums[occupied] / counts[occupied, None]
-            empty = np.flatnonzero(~occupied)
+            occupied, sums = coalesce_rows(assignment, train)
+            centroids[occupied] = sums / counts[occupied, None]
+            empty = np.flatnonzero(counts == 0)
             if empty.size:
                 # Reseed empty cells from random training points so the
                 # index never carries dead centroids.
@@ -171,11 +205,15 @@ class RetrievalIndex:
         return cls(centroids, cell_offsets, cell_items, nprobe=int(nprobe), seed=seed)
 
     @staticmethod
-    def _nearest_cell(points: np.ndarray, centroids: np.ndarray, block: int = 16384) -> np.ndarray:
+    def _nearest_cell(
+        points: np.ndarray, centroids: np.ndarray, block: int = _ASSIGN_BLOCK
+    ) -> np.ndarray:
         # Euclidean assignment via the expanded form: ||x - c||^2 =
         # ||x||^2 - 2 x·c + ||c||^2; the ||x||^2 term is constant per row.
         # Blocked so the (points, cells) affinity never materializes whole —
-        # at 1M items x 1000 cells that full matrix would be 8 GB.
+        # at 1M items x 1000 cells that full matrix would be 8 GB — and in
+        # cache-sized blocks (see _ASSIGN_BLOCK): each row's assignment is
+        # independent of the block it falls in, so the size moves only speed.
         half_norms = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
         out = np.empty(points.shape[0], dtype=np.int64)
         for start in range(0, points.shape[0], block):
@@ -258,9 +296,11 @@ class RetrievalIndex:
     def from_state(cls, params: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> "RetrievalIndex":
         """Rebuild an index from header params + stored arrays.
 
-        Raises :class:`RetrievalIndexError` for foreign kinds or missing
-        arrays, so a stale or hand-edited artifact fails loudly instead of
-        serving a broken shortlist.
+        Raises :class:`RetrievalIndexError` for foreign kinds, missing
+        arrays, header parameters the arrays contradict, or ``cell_items``
+        that is not a permutation of the item IDs, so a stale or
+        hand-edited artifact fails loudly instead of serving a broken
+        shortlist.
         """
         kind = params.get("kind")
         if kind != INDEX_KIND:
@@ -277,12 +317,13 @@ class RetrievalIndex:
             nprobe=int(params.get("nprobe", 1)),
             seed=int(params.get("seed", 0)),
         )
-        declared = int(params.get("num_items", index.num_items))
-        if declared != index.num_items:
-            raise RetrievalIndexError(
-                f"artifact header declares {declared} indexed items but the arrays hold "
-                f"{index.num_items}"
-            )
+        for field in ("num_items", "num_cells", "dim"):
+            actual = getattr(index, field)
+            declared = int(params.get(field, actual))
+            if declared != actual:
+                raise RetrievalIndexError(
+                    f"artifact header declares {field}={declared} but the arrays hold {actual}"
+                )
         return index
 
     def __repr__(self) -> str:

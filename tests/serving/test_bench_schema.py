@@ -65,6 +65,11 @@ def test_scaling_curve_shape(bench):
         assert REQUIRED_POINT_KEYS <= set(point), f"point {point['num_items']} missing keys"
 
 
+def test_retrieval_scaling_records_its_host(bench):
+    host = bench["results"]["retrieval_scaling"]["host"]
+    assert {"nproc", "python", "numpy", "scipy", "git_sha"} <= set(host)
+
+
 def test_recall_gate_held_at_every_scale(bench):
     for point in bench["results"]["retrieval_scaling"]["points"]:
         assert point["recall_at_10"] >= 0.95, f"{point['num_items']} items: {point['recall_at_10']}"

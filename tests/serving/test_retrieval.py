@@ -5,7 +5,7 @@ import pytest
 
 from repro.models import ModelSettings, build_model
 from repro.models.registry import SERVABLE_MODEL_NAMES
-from repro.persist import read_retrieval_state, save_model
+from repro.persist import DIR_SUFFIX, LAYOUT_DIR, read_retrieval_state, save_model
 from repro.serving import (
     EmbeddingStore,
     ModelCatalog,
@@ -16,6 +16,7 @@ from repro.serving import (
     TopKRecommender,
     build_index_for_model,
 )
+from repro.serving.retrieval import _TRAIN_SAMPLE
 
 SETTINGS = ModelSettings(embedding_dim=8)
 
@@ -97,6 +98,134 @@ class TestRetrievalIndex:
         params = dict(index.params(), num_items=index.num_items + 1)
         with pytest.raises(RetrievalIndexError, match="declares"):
             RetrievalIndex.from_state(params, index.state_arrays())
+
+
+def _reference_nearest_cell(points, centroids, block=16384):
+    """Reference assignment over 16384-row blocks, the size the build must not depend on."""
+    half_norms = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
+    out = np.empty(points.shape[0], dtype=np.int64)
+    for start in range(0, points.shape[0], block):
+        affinity = points[start : start + block] @ centroids.T
+        affinity -= half_norms[None, :]
+        out[start : start + block] = np.argmax(affinity, axis=1)
+    return out
+
+
+def _reference_build(item_factors, num_cells, seed=0, iterations=8):
+    """Reference Lloyd loop with the ``np.add.at`` update the CSR fold must match.
+
+    Returns ``(centroids, cell_offsets, cell_items, reseeded)``, where
+    ``reseeded`` counts the empty cells the loop drew new centroids for.
+    """
+    items = np.ascontiguousarray(item_factors, dtype=np.float64)
+    num_items = items.shape[0]
+    rng = np.random.default_rng(seed)
+    train = items
+    if num_items > _TRAIN_SAMPLE:
+        train = items[rng.choice(num_items, size=_TRAIN_SAMPLE, replace=False)]
+    centroids = train[rng.choice(train.shape[0], size=num_cells, replace=False)].copy()
+    reseeded = 0
+    for _ in range(max(1, iterations)):
+        assignment = _reference_nearest_cell(train, centroids)
+        counts = np.bincount(assignment, minlength=num_cells).astype(np.float64)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignment, train)
+        occupied = counts > 0
+        centroids[occupied] = sums[occupied] / counts[occupied, None]
+        empty = np.flatnonzero(~occupied)
+        if empty.size:
+            centroids[empty] = train[rng.integers(0, train.shape[0], size=empty.size)]
+            reseeded += empty.size
+    assignment = _reference_nearest_cell(items, centroids)
+    cell_items = np.argsort(assignment, kind="stable").astype(np.int64)
+    counts = np.bincount(assignment, minlength=num_cells)
+    cell_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return centroids, cell_offsets, cell_items, reseeded
+
+
+def _normal(rows, dim, seed):
+    return np.random.default_rng(seed).normal(size=(rows, dim))
+
+
+def _duplicated_points():
+    # 12 distinct points, 40 copies each: the initial centroids repeat, so
+    # every repeat loses its points to the first copy and must be reseeded.
+    return np.repeat(_normal(12, 4, seed=5), 40, axis=0)
+
+
+class TestBuildMatchesReference:
+    """The fold and the cache-sized blocks change speed, never the index."""
+
+    @pytest.mark.parametrize(
+        "factors,num_cells,reseeds",
+        [
+            # More items than _TRAIN_SAMPLE: Lloyd runs on a seeded sample.
+            pytest.param(lambda: _normal(70_000, 8, seed=1), 100, False, id="sampled-70k-x8"),
+            pytest.param(lambda: _normal(4000, 96, seed=2), 63, False, id="96-wide"),
+            pytest.param(_duplicated_points, 30, True, id="duplicates-reseed"),
+            pytest.param(lambda: _normal(300, 6, seed=4), 300, False, id="cells-equal-items"),
+        ],
+    )
+    def test_build_equals_the_add_at_reference(self, factors, num_cells, reseeds):
+        items = factors()
+        centroids, cell_offsets, cell_items, reseeded = _reference_build(items, num_cells, seed=7)
+        assert (reseeded > 0) == reseeds
+        index = RetrievalIndex.build(items, num_cells=num_cells, seed=7)
+        assert index.cell_offsets.dtype == cell_offsets.dtype
+        assert index.cell_offsets.tobytes() == cell_offsets.tobytes()
+        assert index.cell_items.dtype == cell_items.dtype
+        assert index.cell_items.tobytes() == cell_items.tobytes()
+        # np.array_equal: the fold may differ from np.add.at in a zero's sign only.
+        assert np.array_equal(index.centroids, centroids)
+
+    @pytest.mark.parametrize("block", [1, 2048, 5000, 5001, 16384])
+    def test_assignment_is_independent_of_the_block(self, block):
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(5000, 16))  # 2048-row blocks end on a 904-row block
+        centroids = rng.normal(size=(100, 16))
+        expected = _reference_nearest_cell(points, centroids)
+        assigned = RetrievalIndex._nearest_cell(points, centroids, block=block)
+        assert np.array_equal(assigned, expected)
+
+
+class TestRejectsCorruptIndexState:
+    """``from_state`` refuses arrays or headers that would serve wrong items."""
+
+    @pytest.fixture()
+    def state(self):
+        index = RetrievalIndex.build(np.random.default_rng(0).normal(size=(20, 4)), num_cells=4)
+        return index.params(), index.state_arrays()
+
+    @staticmethod
+    def _with_item(arrays, old, new):
+        cell_items = arrays["cell_items"].copy()
+        cell_items[cell_items == old] = new
+        return dict(arrays, cell_items=cell_items)
+
+    def test_negative_alias_is_rejected(self, state):
+        params, arrays = state
+        with pytest.raises(RetrievalIndexError, match="-16 outside range"):
+            RetrievalIndex.from_state(params, self._with_item(arrays, 4, -16))
+
+    def test_out_of_range_id_is_rejected(self, state):
+        params, arrays = state
+        with pytest.raises(RetrievalIndexError, match="20 outside range"):
+            RetrievalIndex.from_state(params, self._with_item(arrays, 4, 20))
+
+    def test_duplicated_id_is_rejected(self, state):
+        params, arrays = state
+        with pytest.raises(RetrievalIndexError, match="repeats item ID 5"):
+            RetrievalIndex.from_state(params, self._with_item(arrays, 4, 5))
+
+    def test_declared_dim_mismatch_is_rejected(self, state):
+        params, arrays = state
+        with pytest.raises(RetrievalIndexError, match="dim=5"):
+            RetrievalIndex.from_state(dict(params, dim=5), arrays)
+
+    def test_declared_cell_count_mismatch_is_rejected(self, state):
+        params, arrays = state
+        with pytest.raises(RetrievalIndexError, match="num_cells=3"):
+            RetrievalIndex.from_state(dict(params, num_cells=3), arrays)
 
 
 def _recall_vs_exact(dense, approx, k=10):
@@ -272,6 +401,33 @@ class TestArtifactEmbeddedIndex:
         )
         assert catalog.retriever("mf").seed == 0
         assert catalog.retriever("mf").num_cells == 6
+
+    def test_catalog_rebuilds_an_index_that_aliases_an_item(self, small_split, tmp_path):
+        model = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
+        embedded = build_index_for_model(model, num_cells=4, nprobe=4, seed=42)
+        tampered = tmp_path / "tampered"
+        path = tampered / f"mf{DIR_SUFFIX}"
+        save_model(model, path, retrieval_index=embedded, layout=LAYOUT_DIR)
+        member = path / "index" / "cell_items.npy"
+        cell_items = np.load(member)
+        # numpy's wrap-around indexing would score the alias as item 4 and
+        # serve the negative ID.
+        cell_items[cell_items == 4] = 4 - model.num_items
+        member.unlink()
+        np.save(member, cell_items)
+        plain = tmp_path / "plain"
+        save_model(model, plain / "mf.npz")
+        policy = RetrievalPolicy(num_cells=4, nprobe=4, seed=0)
+        catalog = ModelCatalog(tampered, small_split.train, retrieval=policy)
+        fresh = ModelCatalog(plain, small_split.train, retrieval=policy)
+        # The seed proves provenance: 42 is the embedded index, 0 the policy's build.
+        assert catalog.retriever("mf").seed == 0
+        assert np.array_equal(catalog.retriever("mf").cell_items, fresh.retriever("mf").cell_items)
+        users = np.arange(small_split.train.num_users, dtype=np.int64)
+        served = ServingGateway(catalog, default_model="mf").top_k(users, k=5).items
+        assert (served >= 0).all()
+        expected = ServingGateway(fresh, default_model="mf").top_k(users, k=5).items
+        assert np.array_equal(served, expected)
 
     def test_checkpoint_publishes_retrieval_index(self, small_split, tmp_path):
         from repro.training.callbacks import ModelCheckpoint

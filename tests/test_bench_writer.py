@@ -69,3 +69,10 @@ def test_rewriting_a_committed_file_with_its_own_sections_is_byte_identical(tmp_
     copy.write_bytes(committed)
     bench.write_sections(copy, schema, payload["results"], config=payload["config"])
     assert copy.read_bytes() == committed
+
+
+def test_host_block_carries_perfbench_host_fields():
+    host = bench.host_block()
+    assert {"nproc", "python", "numpy", "scipy", "git_sha", "git_dirty"} == set(host)
+    assert host["nproc"] >= 1
+    assert host["git_dirty"] in (True, False, None)

@@ -21,9 +21,11 @@ END_TO_END = [
 ]
 
 
-def run_output(workload, seed, metrics, failed=0, attempted=100, correct=True):
+def run_output(workload, seed, metrics, failed=0, attempted=100, correct=True, digest=None):
     """The lines ``perfbench/run.py`` prints for one run (metric table included)."""
     detail = {"detail": {"workload": workload, "seed": seed, "seconds": 12, "trace": 0}}
+    if digest is not None:
+        detail["detail"]["inputs_digest"] = digest(seed)
     result = {
         "correct": correct,
         "attempted": attempted,
@@ -154,11 +156,13 @@ def test_cli_prints_one_row_per_metric(tmp_path, capsys):
     assert out[2].rstrip().endswith("gain")
 
 
-def _cli(tmp_path, change_metrics_of_seed, workload="serve-dense", **change_kwargs):
+def _cli(tmp_path, change_metrics_of_seed, workload="serve-dense", parent_digest=None, **kwargs):
     benchmark = tmp_path / "BENCHMARK.json"
     benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
-    parent = write_side(tmp_path / "p.txt", "serve-dense", range(10), parent_metrics)
-    change = write_side(tmp_path / "c.txt", workload, range(10), change_metrics_of_seed, **change_kwargs)
+    parent = write_side(
+        tmp_path / "p.txt", "serve-dense", range(10), parent_metrics, digest=parent_digest
+    )
+    change = write_side(tmp_path / "c.txt", workload, range(10), change_metrics_of_seed, **kwargs)
     return compare_pairs.main(
         ["--parent", str(parent), "--change", str(change), "--benchmark", str(benchmark)]
     )
@@ -183,3 +187,29 @@ def test_cli_exits_one_on_an_incorrect_run_or_a_risen_failed_share(tmp_path):
 def test_cli_exits_two_when_no_pair_matched(tmp_path, capsys):
     assert _cli(tmp_path, clean_metrics, workload="train-publish") == 2
     assert "no (workload, seed) pair" in capsys.readouterr().err
+
+
+def _digest(seed):
+    return f"{seed:016x}"
+
+
+def test_cli_exits_one_when_a_pair_ran_different_inputs(tmp_path, capsys):
+    # Seed 3 ran other inputs on the change side (say, another --seconds).
+    def change_digest(seed):
+        return "feedfacefeedface" if seed == 3 else _digest(seed)
+
+    assert _cli(tmp_path, clean_metrics, parent_digest=_digest, digest=change_digest) == 1
+    out = capsys.readouterr().out
+    assert out.count("INPUTS DIFFER") == 1
+    assert "INPUTS DIFFER: serve-dense seed 3: parent inputs_digest 0000000000000003, " in out
+    assert "change feedfacefeedface" in out
+
+
+def test_cli_exits_zero_when_every_pair_ran_the_same_inputs(tmp_path, capsys):
+    assert _cli(tmp_path, clean_metrics, parent_digest=_digest, digest=_digest) == 0
+    assert "INPUTS DIFFER" not in capsys.readouterr().out
+
+
+def test_a_missing_digest_counts_as_unknown(tmp_path):
+    # Older outputs carry no digest: only one side having one is no mismatch.
+    assert _cli(tmp_path, clean_metrics, parent_digest=_digest) == 0
