@@ -43,7 +43,7 @@ from repro.optim import SGD, Adam
 from repro.training.factory import build_batch_iterator
 from repro.training.trainer import Trainer
 
-from _bench import TRAINING_SCHEMA, write_sections
+from _bench import TRAINING_SCHEMA, host_block, write_sections
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_training.json"
@@ -234,5 +234,6 @@ def test_write_bench_training_json():
         "epochs_timed": 3,
         "workload_items": WORKLOADS,
         "pre_change_baseline_commit": "39fc887",
+        "host": host_block(),
     }
     write_sections(OUTPUT_PATH, TRAINING_SCHEMA, _RESULTS, config=config)

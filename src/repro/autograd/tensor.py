@@ -163,12 +163,6 @@ class Tensor:
         self.grad = None
         self._grad_owned = False
 
-    def dense_grad(self) -> Optional[np.ndarray]:
-        """The accumulated gradient as a dense array (``None`` if absent)."""
-        if isinstance(self.grad, RowSparseGrad):
-            return self.grad.to_dense()
-        return self.grad
-
     # ------------------------------------------------------------------
     # Graph construction helpers
     # ------------------------------------------------------------------

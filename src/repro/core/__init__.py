@@ -1,7 +1,7 @@
 """The paper's primary contribution: GBGCN and its components."""
 
 from .propagation import CrossViewPropagation, InViewPropagation, ViewEmbeddings
-from .prediction import RoleWeightedPredictor, role_weighted_factors
+from .prediction import role_weighted_difference, role_weighted_factors
 from .loss import DoublePairwiseLoss
 from .gbgcn import GBGCN, GBGCNConfig
 from .pretrain import GBGCNPretrainModel, transfer_pretrained_embeddings
@@ -11,7 +11,7 @@ __all__ = [
     "CrossViewPropagation",
     "InViewPropagation",
     "ViewEmbeddings",
-    "RoleWeightedPredictor",
+    "role_weighted_difference",
     "role_weighted_factors",
     "DoublePairwiseLoss",
     "GBGCN",

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, gathered_dot_difference, no_grad
+from ..autograd import Tensor, no_grad, sparse_matmul
 from ..graph.hetero import HeteroGroupBuyingGraph
 from ..models.base import DataMode, RecommenderModel
 from ..nn import Embedding, social_regularization
@@ -32,10 +32,15 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..training.batches import GroupBuyingBatch
 from .loss import DoublePairwiseLoss
-from .prediction import RoleWeightedPredictor, role_weighted_factors
+from .prediction import role_weighted_difference, role_weighted_factors
 from .propagation import CrossViewPropagation, InViewPropagation, ViewEmbeddings
 
 __all__ = ["GBGCNConfig", "GBGCN"]
+
+
+def _compact(rows: Optional[np.ndarray], ids: np.ndarray) -> np.ndarray:
+    """Positions of global ``ids`` in the sorted restricted ``rows`` (``None``: full table)."""
+    return ids if rows is None else np.searchsorted(rows, ids)
 
 
 @dataclass
@@ -105,7 +110,6 @@ class GBGCN(RecommenderModel):
             rng=rng,
         )
         self._social_normalized: sp.csr_matrix = graph.friendship.normalized()
-        self.predictor = RoleWeightedPredictor(self._social_normalized, alpha=config.alpha)
         self.loss_function = DoublePairwiseLoss(beta=config.beta)
 
     # ------------------------------------------------------------------
@@ -131,45 +135,35 @@ class GBGCN(RecommenderModel):
     def batch_loss(self, batch: GroupBuyingBatch) -> Tensor:
         touched_users = np.unique(
             np.concatenate([batch.initiators, batch.participants, batch.failed_friends])
-        ) if batch.participants.size or batch.failed_friends.size else np.unique(batch.initiators)
+        )
         touched_items = np.unique(np.concatenate([batch.items, batch.negative_items]))
 
         # Cross-view outputs are consumed only by the per-row score gathers
-        # below, so the training pass restricts that stage to the touched
-        # rows (row-identical results, O(batch) instead of O(table) FC
-        # transforms).  The ablation flags need full-width pooling, so the
-        # restriction is dropped for a shared view.
-        restrict_users = not self.config.share_user_roles
-        restrict_items = not self.config.share_item_roles
+        # below, so the training pass restricts that stage, and the friend
+        # average with it, to the touched rows (row-identical results,
+        # O(batch) instead of O(table) FC transforms).  All four score
+        # tables then share one compact row space.  The ablation flags need
+        # full-width pooling, so the restriction is dropped for a shared view.
+        user_rows = None if self.config.share_user_roles else touched_users
+        item_rows = None if self.config.share_item_roles else touched_items
         in_view = self.in_view(self.user_embedding.weight, self.item_embedding.weight)
-        embeddings = self.cross_view(
-            in_view,
-            user_initiator_rows=touched_users if restrict_users else None,
-            item_rows=touched_items if restrict_items else None,
-        )
-        friend_average = self.predictor.friend_average(embeddings.user_participant)
-        alpha = self.predictor.alpha
+        embeddings = self.cross_view(in_view, user_initiator_rows=user_rows, item_rows=item_rows)
+        social = self._social_normalized if user_rows is None else self._social_normalized[user_rows]
+        friend_average = sparse_matmul(social, embeddings.user_participant)
 
         def score_pair_difference(users, positive_items, negative_items) -> Tensor:
-            # Map the global index arrays onto the compact (restricted) rows.
-            user_rows = np.searchsorted(touched_users, users) if restrict_users else users
-            positive_rows = (
-                np.searchsorted(touched_items, positive_items) if restrict_items else positive_items
+            return role_weighted_difference(
+                self.config.alpha,
+                embeddings.user_initiator,
+                friend_average,
+                embeddings.item_initiator,
+                embeddings.item_participant,
+                _compact(user_rows, users),
+                _compact(item_rows, positive_items),
+                _compact(item_rows, negative_items),
             )
-            negative_rows = (
-                np.searchsorted(touched_items, negative_items) if restrict_items else negative_items
-            )
-            own = gathered_dot_difference(
-                embeddings.user_initiator, embeddings.item_initiator, user_rows, positive_rows, negative_rows
-            )
-            # The friend average stays in the full user index space (it is
-            # built from every friend of a scored user).
-            friends = gathered_dot_difference(
-                friend_average, embeddings.item_participant, users, positive_rows, negative_rows
-            )
-            return own * (1.0 - alpha) + friends * alpha
 
-        loss = self.loss_function(batch, score_pair_difference=score_pair_difference)
+        loss = self.loss_function(batch, score_pair_difference)
 
         regularizer = self.regularization(
             [self.user_embedding(touched_users), self.item_embedding(touched_items)]
@@ -191,9 +185,9 @@ class GBGCN(RecommenderModel):
     # ------------------------------------------------------------------
     def compute_scoring_factors(self):
         embeddings = self.propagate()
-        friend_average = self.predictor.friend_average(embeddings.user_participant)
+        friend_average = sparse_matmul(self._social_normalized, embeddings.user_participant)
         return role_weighted_factors(
-            self.predictor.alpha,
+            self.config.alpha,
             embeddings.user_initiator.data,
             friend_average.data,
             embeddings.item_initiator.data,

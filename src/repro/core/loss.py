@@ -11,7 +11,7 @@ is the strong-negative signal the paper distills from failed groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 
 __all__ = ["DoublePairwiseLoss"]
 
-ScoreFunction = Callable[[np.ndarray, np.ndarray], Tensor]
+DifferenceFunction = Callable[[np.ndarray, np.ndarray, np.ndarray], Tensor]
 
 
 @dataclass
@@ -45,63 +45,16 @@ class DoublePairwiseLoss:
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
 
-    def __call__(
-        self,
-        batch: GroupBuyingBatch,
-        score_pairs: Optional[ScoreFunction] = None,
-        score_pair_difference: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], Tensor]] = None,
-    ) -> Tensor:
+    def __call__(self, batch: GroupBuyingBatch, score_pair_difference: DifferenceFunction) -> Tensor:
         """Mean fine-grained loss of ``batch`` given a differentiable scorer.
 
-        ``score_pairs(users, items)`` must return the Eq. 9 scores for the
-        aligned index arrays; the loss calls it for initiators,
-        participants of successful behaviors and friends of initiators of
-        failed behaviors.
-
-        When the scorer also provides ``score_pair_difference(users, pos,
-        neg)`` (returning ``score(u, pos) - score(u, neg)`` per row), the
-        loss uses that instead: every BPR term only ever consumes the
-        difference, all three terms are scored through one call on
-        concatenated index arrays, and the fused form shares the user-side
-        gather between the positive and negative dot — this is the training
-        hot path for GBGCN and its pre-training stage.
+        ``score_pair_difference(users, pos, neg)`` must return the Eq. 9
+        ``score(u, pos) - score(u, neg)`` per row of the aligned index
+        arrays.  Every BPR term only ever consumes that difference, so the
+        initiators, the participants of successful behaviors and the
+        friends of initiators of failed behaviors are scored through one
+        call on concatenated index arrays.
         """
-        batch_size = max(len(batch), 1)
-        if score_pair_difference is not None:
-            return self._from_differences(batch, score_pair_difference, batch_size)
-        if score_pairs is None:
-            raise TypeError("either score_pairs or score_pair_difference is required")
-
-        # Initiator term, shared by Eq. 10 and Eq. 11: the initiator prefers
-        # the launched item over the sampled negative in both cases.
-        initiator_positive = score_pairs(batch.initiators, batch.items)
-        initiator_negative = score_pairs(batch.initiators, batch.negative_items)
-        loss = -log_sigmoid(initiator_positive - initiator_negative).sum()
-
-        # Participant term of successful behaviors (Eq. 11).
-        if batch.participants.size:
-            rows = batch.participant_segment
-            participant_positive = score_pairs(batch.participants, batch.items[rows])
-            participant_negative = score_pairs(batch.participants, batch.negative_items[rows])
-            loss = loss + (-log_sigmoid(participant_positive - participant_negative)).sum()
-
-        # Friend term of failed behaviors (Eq. 10): friends are assumed to
-        # prefer the negative item over the failed target, down-weighted by beta.
-        if self.beta > 0 and batch.failed_friends.size:
-            rows = batch.failed_friend_segment
-            friend_positive = score_pairs(batch.failed_friends, batch.items[rows])
-            friend_negative = score_pairs(batch.failed_friends, batch.negative_items[rows])
-            loss = loss + (-log_sigmoid(friend_negative - friend_positive)).sum() * self.beta
-
-        return loss * (1.0 / batch_size)
-
-    def _from_differences(
-        self,
-        batch: GroupBuyingBatch,
-        score_pair_difference: Callable[[np.ndarray, np.ndarray, np.ndarray], Tensor],
-        batch_size: int,
-    ) -> Tensor:
-        """Loss from one fused ``score(u, pos) - score(u, neg)`` evaluation."""
         user_parts = [batch.initiators]
         positive_parts = [batch.items]
         negative_parts = [batch.negative_items]
@@ -125,13 +78,15 @@ class DoublePairwiseLoss:
         )
         bounds = np.cumsum([0] + [part.shape[0] for part in user_parts])
 
+        # Initiator term, shared by Eq. 10 and Eq. 11.
         loss = -log_sigmoid(differences[slice(bounds[0], bounds[1])]).sum()
         if has_participants:
+            # Participant term of successful behaviors (Eq. 11).
             loss = loss + (-log_sigmoid(differences[slice(bounds[1], bounds[2])])).sum()
         if has_failed:
             start = 2 if has_participants else 1
-            # Friends of failed groups prefer the negative item: the BPR
-            # argument is score(neg) - score(pos) = -difference.
+            # Friend term of failed behaviors (Eq. 10): friends prefer the
+            # negative item, so the BPR argument is -difference, weighted by beta.
             friend_differences = differences[slice(bounds[start], bounds[start + 1])]
             loss = loss + (-log_sigmoid(-friend_differences)).sum() * self.beta
-        return loss * (1.0 / batch_size)
+        return loss * (1.0 / max(len(batch), 1))

@@ -14,12 +14,13 @@ qualified names of GBGCN's raw embeddings so the state transfer is a
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor
+from ..autograd import Tensor, sparse_matmul
 from ..graph.hetero import HeteroGroupBuyingGraph
 from ..models.base import DataMode, RecommenderModel
 from ..nn import Embedding
@@ -29,7 +30,7 @@ if TYPE_CHECKING:
     from ..training.batches import GroupBuyingBatch
 from .gbgcn import GBGCN, GBGCNConfig
 from .loss import DoublePairwiseLoss
-from .prediction import RoleWeightedPredictor, role_weighted_factors
+from .prediction import role_weighted_difference, role_weighted_factors
 
 __all__ = ["GBGCNPretrainModel", "transfer_pretrained_embeddings"]
 
@@ -53,24 +54,17 @@ class GBGCNPretrainModel(RecommenderModel):
         self.user_embedding = Embedding(num_users, config.embedding_dim, rng=rng)
         self.item_embedding = Embedding(num_items, config.embedding_dim, rng=rng)
         self._social_normalized: sp.csr_matrix = graph.friendship.normalized()
-        self.predictor = RoleWeightedPredictor(self._social_normalized, alpha=config.alpha)
         self.loss_function = DoublePairwiseLoss(beta=config.beta)
 
     def batch_loss(self, batch: GroupBuyingBatch) -> Tensor:
-        friend_average = self.predictor.friend_average(self.user_embedding.weight)
-
-        def score_pair_difference(users, positive_items, negative_items) -> Tensor:
-            return self.predictor.score_pair_difference(
-                users,
-                positive_items,
-                negative_items,
-                self.user_embedding.weight,
-                self.item_embedding.weight,
-                friend_average,
-                self.item_embedding.weight,
-            )
-
-        loss = self.loss_function(batch, score_pair_difference=score_pair_difference)
+        # Both item views share one table, and the friend average spans
+        # every user: the pretrain stage scores the raw embeddings.
+        users = self.user_embedding.weight
+        items = self.item_embedding.weight
+        friend_average = sparse_matmul(self._social_normalized, users)
+        loss = self.loss_function(
+            batch, partial(role_weighted_difference, self.config.alpha, users, friend_average, items, items)
+        )
         touched_items = np.unique(np.concatenate([batch.items, batch.negative_items]))
         regularizer = self.regularization(
             [self.user_embedding(batch.initiators), self.item_embedding(touched_items)]
@@ -80,10 +74,10 @@ class GBGCNPretrainModel(RecommenderModel):
     def compute_scoring_factors(self):
         # GBGCN's Eq. 9 fold over the raw (un-propagated) embeddings the
         # pretrain stage scores with; both item views share one table here.
-        friend_average = self.predictor.friend_average(self.user_embedding.weight)
+        friend_average = sparse_matmul(self._social_normalized, self.user_embedding.weight)
         item_vectors = self.item_embedding.weight.data
         return role_weighted_factors(
-            self.predictor.alpha,
+            self.config.alpha,
             self.user_embedding.weight.data,
             friend_average.data,
             item_vectors,

@@ -9,7 +9,6 @@ for a given model; the benchmark harness calls it for every method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from ..models.base import RecommenderModel
 from ..optim import Optimizer
@@ -26,9 +25,6 @@ class TimingResult:
     model_name: str
     train_seconds_per_epoch: float
     test_seconds_per_epoch: float
-
-    def as_row(self) -> tuple:
-        return (self.model_name, self.train_seconds_per_epoch, self.test_seconds_per_epoch)
 
 
 def measure_time_efficiency(

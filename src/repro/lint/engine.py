@@ -173,13 +173,6 @@ class LintContext:
     def has_module(self, module: str) -> bool:
         return module in self._by_module
 
-    def module_bindings(self, module: str) -> Optional[Set[str]]:
-        """Top-level names bound in ``module``, or None if it was not scanned."""
-        source = self._by_module.get(module)
-        if source is None:
-            return None
-        return top_level_bindings(source.tree)
-
 
 @dataclass
 class LintReport:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 __all__ = ["dotted_name", "ImportMap"]
 
@@ -51,11 +51,3 @@ class ImportMap:
         if target is None:
             return local_dotted
         return f"{target}.{rest}" if rest else target
-
-    def names_for(self, canonical: str) -> Set[str]:
-        """Local names that resolve to the given canonical dotted prefix."""
-        return {
-            local
-            for local, target in self.aliases.items()
-            if target == canonical or target.startswith(canonical + ".")
-        }

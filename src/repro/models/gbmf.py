@@ -15,9 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..autograd import Tensor, sparse_matmul
-from ..core.prediction import role_weighted_factors
+from ..core.prediction import role_weighted_difference, role_weighted_factors
 from ..graph.social import FriendshipGraph
-from ..nn import Embedding, bpr_loss
+from ..nn import Embedding, bpr_difference_loss
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -61,19 +61,19 @@ class GBMF(RecommenderModel):
         """Per-user mean of their friends' embeddings (zero for friendless users)."""
         return sparse_matmul(self._social_normalized, self.user_embedding.weight)
 
-    def score_pairs(self, users: np.ndarray, items: np.ndarray, friend_matrix: Optional[Tensor] = None) -> Tensor:
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        friend_matrix = friend_matrix if friend_matrix is not None else self.friend_average_users()
-        own = (self.user_embedding(users) * self.item_embedding(items)).sum(axis=-1)
-        friends = (friend_matrix[users] * self.item_embedding(items)).sum(axis=-1)
-        return own * (1.0 - self.alpha) + friends * self.alpha
-
     def batch_loss(self, batch: GroupBuyingBatch) -> Tensor:
-        friend_matrix = self.friend_average_users()
-        positive = self.score_pairs(batch.initiators, batch.items, friend_matrix)
-        negative = self.score_pairs(batch.initiators, batch.negative_items, friend_matrix)
-        loss = bpr_loss(positive, negative)
+        item_table = self.item_embedding.weight
+        differences = role_weighted_difference(
+            self.alpha,
+            self.user_embedding.weight,
+            self.friend_average_users(),
+            item_table,
+            item_table,
+            batch.initiators,
+            batch.items,
+            batch.negative_items,
+        )
+        loss = bpr_difference_loss(differences)
         regularizer = self.regularization(
             [
                 self.user_embedding(batch.initiators),

@@ -1,8 +1,10 @@
 """Loss functions used by GBGCN and the baseline models.
 
 * :func:`bpr_loss` — Bayesian Personalized Ranking (MF, NCF-as-ranker,
-  NGCF, SocialMF, DiffNet, GBMF, and the building block of GBGCN's
+  NGCF, SocialMF, DiffNet, and the building block of GBGCN's
   fine-grained loss).
+* :func:`bpr_difference_loss` — the same loss from precomputed
+  ``pos - neg`` score differences (LightGCN, GBMF).
 * :func:`log_loss` — pointwise binary cross entropy on scores (SIGR).
 * :func:`regression_pairwise_loss` — the margin-regression pairwise loss
   used by AGREE.

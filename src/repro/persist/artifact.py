@@ -44,6 +44,7 @@ of producing garbage recommendations.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import json
 import os
@@ -329,6 +330,12 @@ def _remove_entry(path: Path) -> None:
         pass
 
 
+#: ``os.rename`` errnos meaning the destination name is occupied: a
+#: non-empty directory (``ENOTEMPTY``, or ``EEXIST`` on some systems) or a
+#: non-directory where a directory is being renamed (``ENOTDIR``).
+_NAME_TAKEN = frozenset({errno.ENOTEMPTY, errno.EEXIST, errno.ENOTDIR})
+
+
 def _atomic_replace_dir(path: Path, build: Callable[[Path], None]) -> None:
     """Build a directory under a unique temp name, then swap it into place.
 
@@ -351,10 +358,15 @@ def _atomic_replace_dir(path: Path, build: Callable[[Path], None]) -> None:
     # os.mkdir is the exclusive creation, like O_EXCL for files.
     tmp, _ = _claim(path, "tmp", os.mkdir)
 
-    def retire(candidate: Path) -> None:
+    def retire(candidate: Path) -> bool:
+        """Rename ``path`` aside; False when another writer retired it first."""
         if candidate.exists():
             raise FileExistsError(candidate)
-        os.rename(path, candidate)
+        try:
+            os.rename(path, candidate)
+        except FileNotFoundError:
+            return False
+        return True
 
     published = False
     try:
@@ -369,25 +381,32 @@ def _atomic_replace_dir(path: Path, build: Callable[[Path], None]) -> None:
         try:
             os.rename(tmp, path)
             published = True
-        except OSError:
-            if not path.exists():
+        except OSError as error:
+            if error.errno not in _NAME_TAKEN:
                 raise
-            retired, _ = _claim(path, "old", retire)
+            # Another writer may retire ``path`` at any moment, so whether
+            # the name was taken is read from the errno, never from a later
+            # look at ``path``.  A vanished ``path`` leaves nothing to
+            # retire: the publish below is then a plain retry.
+            retired, moved = _claim(path, "old", retire)
             try:
                 os.rename(tmp, path)
                 published = True
-            except OSError:
-                if not path.exists():
-                    os.rename(retired, path)  # roll the old artifact back
+            except OSError as error:
+                if error.errno not in _NAME_TAKEN:
+                    if moved:
+                        os.rename(retired, path)  # roll the old artifact back
                     raise
                 # A concurrent writer claimed the name between our retire
                 # and publish; their artifact is complete — surface the
                 # lost race instead of silently dropping this save.
-                _remove_entry(retired)
+                if moved:
+                    _remove_entry(retired)
                 raise ArtifactError(
                     f"a concurrent writer republished {path} mid-swap; this save was dropped"
-                )
-            _remove_entry(retired)
+                ) from error
+            if moved:
+                _remove_entry(retired)
     finally:
         if not published:
             _remove_entry(tmp)

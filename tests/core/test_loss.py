@@ -29,6 +29,13 @@ def scorer_from_table(table):
     return score
 
 
+def as_difference(score):
+    """Adapt a per-pair score function to the loss's ``score(u, pos) - score(u, neg)`` protocol."""
+    def score_pair_difference(users, positive_items, negative_items):
+        return score(users, positive_items) - score(users, negative_items)
+    return score_pair_difference
+
+
 def log_sigmoid(x):
     return float(np.log(1.0 / (1.0 + np.exp(-x))))
 
@@ -58,18 +65,18 @@ class TestDoublePairwiseLoss:
         return value / 2  # mean over the two behaviors
 
     def test_matches_manual_computation(self):
-        loss = DoublePairwiseLoss(beta=0.05)(make_batch(), scorer_from_table(self.table))
+        loss = DoublePairwiseLoss(beta=0.05)(make_batch(), as_difference(scorer_from_table(self.table)))
         assert np.isclose(float(loss.data), self.manual_loss(0.05), rtol=1e-8)
 
     def test_beta_zero_drops_friend_term(self):
-        loss = DoublePairwiseLoss(beta=0.0)(make_batch(), scorer_from_table(self.table))
+        loss = DoublePairwiseLoss(beta=0.0)(make_batch(), as_difference(scorer_from_table(self.table)))
         assert np.isclose(float(loss.data), self.manual_loss(0.0), rtol=1e-8)
 
     def test_larger_beta_increases_loss_when_friends_prefer_item(self):
         table = dict(self.table)
         table[(4, 1)] = 5.0  # friend strongly likes the failed item -> penalized more
-        small = DoublePairwiseLoss(beta=0.01)(make_batch(), scorer_from_table(table))
-        large = DoublePairwiseLoss(beta=0.5)(make_batch(), scorer_from_table(table))
+        small = DoublePairwiseLoss(beta=0.01)(make_batch(), as_difference(scorer_from_table(table)))
+        large = DoublePairwiseLoss(beta=0.5)(make_batch(), as_difference(scorer_from_table(table)))
         assert float(large.data) > float(small.data)
 
     def test_negative_beta_rejected(self):
@@ -87,7 +94,7 @@ class TestDoublePairwiseLoss:
             failed_friends=np.array([], dtype=np.int64),
             failed_friend_segment=np.array([], dtype=np.int64),
         )
-        loss = DoublePairwiseLoss(beta=0.05)(batch, scorer_from_table(self.table))
+        loss = DoublePairwiseLoss(beta=0.05)(batch, as_difference(scorer_from_table(self.table)))
         assert np.isclose(float(loss.data), -log_sigmoid(2.0 - (-1.0)), rtol=1e-8)
 
     def test_gradients_flow_through_score_function(self):
@@ -99,7 +106,7 @@ class TestDoublePairwiseLoss:
             counter["next"] += len(users)
             return scores[np.arange(start, start + len(users))]
 
-        loss = DoublePairwiseLoss(beta=0.1)(make_batch(), score)
+        loss = DoublePairwiseLoss(beta=0.1)(make_batch(), as_difference(score))
         loss.backward()
         assert scores.grad is not None
         assert np.any(scores.grad != 0)

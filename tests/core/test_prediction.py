@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, sparse_matmul
 from repro.autograd.sparse import row_normalize
-from repro.core import RoleWeightedPredictor, role_weighted_factors
+from repro.core import GBGCNConfig, role_weighted_difference, role_weighted_factors
 
 
 @pytest.fixture
@@ -29,51 +29,48 @@ def fold_scores(alpha, user, item_ids, user_i, item_i, friend_avg, item_p):
 class TestScoring:
     def test_alpha_zero_uses_only_initiator_view(self, setup):
         social, user_i, item_i, user_p, item_p = setup
-        predictor = RoleWeightedPredictor(social, alpha=0.0)
         friend_avg = social @ user_p
-        scores = fold_scores(predictor.alpha, 0, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
+        scores = fold_scores(0.0, 0, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
         assert np.allclose(scores, item_i @ user_i[0])
 
     def test_alpha_one_uses_only_friends(self, setup):
         social, user_i, item_i, user_p, item_p = setup
-        predictor = RoleWeightedPredictor(social, alpha=1.0)
         friend_avg = social @ user_p
-        scores = fold_scores(predictor.alpha, 0, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
+        scores = fold_scores(1.0, 0, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
         # User 0's only friend is user 1 whose participant embedding is [1, 0].
         assert np.allclose(scores, item_p @ user_p[1])
 
     def test_mixture_matches_manual_formula(self, setup):
         social, user_i, item_i, user_p, item_p = setup
         alpha = 0.6
-        predictor = RoleWeightedPredictor(social, alpha=alpha)
         friend_avg = social @ user_p
-        scores = fold_scores(predictor.alpha, 1, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
+        scores = fold_scores(alpha, 1, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
         expected = (1 - alpha) * item_i @ user_i[1] + alpha * item_p @ friend_avg[1]
         assert np.allclose(scores, expected)
 
     def test_isolated_user_friend_term_is_zero(self, setup):
         social, user_i, item_i, user_p, item_p = setup
-        predictor = RoleWeightedPredictor(social, alpha=1.0)
         friend_avg = social @ user_p
-        scores = fold_scores(predictor.alpha, 2, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
+        scores = fold_scores(1.0, 2, np.array([0, 1]), user_i, item_i, friend_avg, item_p)
         assert np.allclose(scores, 0.0)
 
     def test_differentiable_scores_match_numpy_path(self, setup):
         social, user_i, item_i, user_p, item_p = setup
-        predictor = RoleWeightedPredictor(social, alpha=0.3)
-        friend_avg_tensor = predictor.friend_average(Tensor(user_p))
+        alpha = 0.3
+        friend_avg_tensor = sparse_matmul(social, Tensor(user_p))
         users = np.array([0, 1, 2])
-        items = np.array([1, 0, 1])
-        tensor_scores = predictor.score_pairs(
-            users, items, Tensor(user_i), Tensor(item_i), friend_avg_tensor, Tensor(item_p)
+        positive = np.array([1, 0, 1])
+        negative = np.array([0, 1, 1])
+        tensor_differences = role_weighted_difference(
+            alpha, Tensor(user_i), friend_avg_tensor, Tensor(item_i), Tensor(item_p), users, positive, negative
         )
-        numpy_scores = [
-            fold_scores(predictor.alpha, u, np.array([i]), user_i, item_i, social @ user_p, item_p)[0]
-            for u, i in zip(users, items)
+        numpy_differences = [
+            fold_scores(alpha, u, np.array([p]), user_i, item_i, social @ user_p, item_p)[0]
+            - fold_scores(alpha, u, np.array([n]), user_i, item_i, social @ user_p, item_p)[0]
+            for u, p, n in zip(users, positive, negative)
         ]
-        assert np.allclose(tensor_scores.data, numpy_scores)
+        assert np.allclose(tensor_differences.data, numpy_differences)
 
-    def test_invalid_alpha_rejected(self, setup):
-        social = setup[0]
+    def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
-            RoleWeightedPredictor(social, alpha=1.5)
+            GBGCNConfig(alpha=1.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, sparse_matmul
 from repro.core import CrossViewPropagation, GBGCN, GBGCNConfig, InViewPropagation
 from repro.graph import build_hetero_graph
 from repro.models import ModelSettings, build_model
@@ -82,21 +82,20 @@ def test_gbgcn_training_matches_unrestricted_scores(small_split):
     batch = next(iter(build_batch_iterator(model, train, batch_size=32, seed=1)))
     loss_restricted = float(model.batch_loss(batch).data)
 
-    # Reference: full propagation + the predictor's unfused pairwise scores.
+    # Reference: full propagation + an unfused Eq. 9 score per pair.
     embeddings = model.propagate()
-    friend_average = model.predictor.friend_average(embeddings.user_participant)
+    friend_average = sparse_matmul(model._social_normalized, embeddings.user_participant)
+    alpha = model.config.alpha
 
     def score_pairs(users, items):
-        return model.predictor.score_pairs(
-            users,
-            items,
-            embeddings.user_initiator,
-            embeddings.item_initiator,
-            friend_average,
-            embeddings.item_participant,
-        )
+        own = (embeddings.user_initiator[users] * embeddings.item_initiator[items]).sum(axis=-1)
+        friends = (friend_average[users] * embeddings.item_participant[items]).sum(axis=-1)
+        return own * (1.0 - alpha) + friends * alpha
 
-    reference_loss = model.loss_function(batch, score_pairs)
+    def score_pair_difference(users, positive_items, negative_items):
+        return score_pairs(users, positive_items) - score_pairs(users, negative_items)
+
+    reference_loss = model.loss_function(batch, score_pair_difference)
     touched_users = np.unique(
         np.concatenate([batch.initiators, batch.participants, batch.failed_friends])
     )

@@ -98,7 +98,7 @@ class TestEq9Oracle:
         assert isinstance(model, GBGCN)
         model.eval()
         views = model.propagate()
-        social = model.predictor.social_normalized
+        social = model._social_normalized
         friend_average = social @ views.user_participant.data
         self._check(
             model,
@@ -118,7 +118,7 @@ class TestEq9Oracle:
         assert isinstance(model, GBGCNPretrainModel)
         users_table = model.user_embedding.weight.data
         items_table = model.item_embedding.weight.data
-        friend_average = model.predictor.social_normalized @ users_table
+        friend_average = model._social_normalized @ users_table
         self._check(
             model,
             lambda users: self._eq9(

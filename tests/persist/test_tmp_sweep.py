@@ -17,6 +17,7 @@ writer processes at one path and checks nobody's work is swept.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -27,7 +28,7 @@ import pytest
 
 import repro.persist.artifact as artifact_module
 from repro.models import ModelSettings, build_model
-from repro.persist import LAYOUT_DIR, load_model, save_model
+from repro.persist import LAYOUT_DIR, ArtifactError, load_model, save_model
 
 pytestmark = pytest.mark.persist
 
@@ -148,6 +149,85 @@ class TestSweepRules:
         monkeypatch.setattr(artifact_module, "TMP_SWEEP_MAX_AGE_SECONDS", 5.0)
         save_model(build_model("MF", small_split.train, SETTINGS), target)
         assert not orphan.exists()
+
+
+def _mf(split, seed):
+    return build_model("MF", split.train, SETTINGS, rng=np.random.default_rng(seed))
+
+
+def _assert_serves(target, split, model):
+    loaded = load_model(target, split.train)
+    expected = model.state_dict()
+    assert set(loaded.state_dict()) == set(expected)
+    for name, weights in loaded.state_dict().items():
+        assert np.array_equal(weights, expected[name]), name
+
+
+def _litter(directory):
+    return [entry.name for entry in directory.iterdir() if ".tmp-" in entry.name or ".old-" in entry.name]
+
+
+class TestDirRepublishRace:
+    """A ``dir`` republish during which another writer retires ``path``.
+
+    The patched ``os.rename`` plays the other writer: it moves ``path``
+    away and deletes it, either right after this writer's first publish
+    failed on the taken name or right before this writer's retire step.
+    With ``other``, the other writer's artifact then lands at ``path``
+    before this writer's retried publish.
+    """
+
+    @staticmethod
+    def _race(monkeypatch, target, vanish_point, other=None):
+        real_rename = os.rename
+        vanished = []
+
+        def vanish():
+            shutil.rmtree(target)
+            vanished.append(target)
+
+        def rename(source, destination):
+            source, destination = Path(source), Path(destination)
+            if not vanished and vanish_point == "at-retire" and source == target:
+                vanish()
+            elif not vanished and vanish_point == "after-failed-publish" and destination == target:
+                try:
+                    return real_rename(source, destination)
+                except OSError:
+                    vanish()
+                    raise
+            elif vanished and other is not None and destination == target:
+                real_rename(other, target)
+            return real_rename(source, destination)
+
+        monkeypatch.setattr(artifact_module.os, "rename", rename)
+
+    @pytest.mark.parametrize("vanish_point", ["after-failed-publish", "at-retire"])
+    def test_vanished_path_is_republished(self, small_split, tmp_path, monkeypatch, vanish_point):
+        target = tmp_path / "m.npyd"
+        save_model(_mf(small_split, 1), target, layout=LAYOUT_DIR)
+        self._race(monkeypatch, target, vanish_point)
+
+        newer = _mf(small_split, 2)
+        save_model(newer, target, layout=LAYOUT_DIR)
+
+        _assert_serves(target, small_split, newer)
+        assert _litter(tmp_path) == []
+
+    @pytest.mark.parametrize("vanish_point", ["after-failed-publish", "at-retire"])
+    def test_other_writer_publishing_first_wins_typed(self, small_split, tmp_path, monkeypatch, vanish_point):
+        target = tmp_path / "m.npyd"
+        save_model(_mf(small_split, 1), target, layout=LAYOUT_DIR)
+        other_model = _mf(small_split, 3)
+        other = tmp_path / "other.npyd"
+        save_model(other_model, other, layout=LAYOUT_DIR)
+        self._race(monkeypatch, target, vanish_point, other=other)
+
+        with pytest.raises(ArtifactError, match="concurrent writer"):
+            save_model(_mf(small_split, 2), target, layout=LAYOUT_DIR)
+
+        _assert_serves(target, small_split, other_model)
+        assert _litter(tmp_path) == []
 
 
 _WRITER_SCRIPT = """
