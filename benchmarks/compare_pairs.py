@@ -27,7 +27,13 @@ pairs the change won and a verdict:
 
 Spreads and differences are fractions of the parent's median, like the
 bounds.  Each workload's line also counts failed operations against the
-attempted ones and the runs whose output checks failed.
+attempted ones and the runs whose output checks failed.  Every run with
+failed operations then gets a ``FAILED`` line naming its side and seed:
+its stream failures by phase and kind (shed, deadline, error, or not run
+at all), from the detail line's ``phases`` ledger (and the traced pool
+phase's, prefixed ``pool.``), and the rest of ``failed`` (publishes and
+training operations).  A run without a ledger reports its stream failures
+as unknown.
 
 Usage::
 
@@ -66,6 +72,9 @@ class Run:
     failed: int
     metrics: Dict[str, float]
     inputs_digest: Optional[str] = None
+    #: Request outcome counts by stream phase (``{phase: {"sent", "ok",
+    #: "shed", ...}}``), or None when the detail line carries no ledger.
+    phases: Optional[Dict[str, Dict[str, int]]] = None
 
 
 @dataclass
@@ -91,6 +100,8 @@ class WorkloadReport:
     rows: List[MetricRow] = field(default_factory=list)
     #: ``(seed, parent digest, change digest)`` of each pair whose inputs differ.
     inputs_differ: List[Tuple[int, str, str]] = field(default_factory=list)
+    #: ``(side, seed, where the failures were)`` of each run with failed operations.
+    failures: List[Tuple[str, int, str]] = field(default_factory=list)
 
     @property
     def failed_comparison(self) -> bool:
@@ -106,11 +117,41 @@ class WorkloadReport:
         return self.failed[1] / max(self.attempted[1], 1) > parent
 
 
+def _ledger(detail: dict) -> Optional[Dict[str, Dict[str, int]]]:
+    """The detail line's phase ledger, with a traced pool phase's as ``pool.<phase>``."""
+    phases = detail.get("phases")
+    if phases is None:
+        return None
+    pool = (detail.get("pool") or {}).get("phases") or {}
+    return {**phases, **{f"pool.{phase}": row for phase, row in pool.items()}}
+
+
+def describe_failures(run: Run) -> str:
+    """Where a run's failed operations were: stream phase and kind, then the rest.
+
+    A phase's failures are its ``sent`` requests that are not ``ok``, named
+    by the row's other outcome columns; a request in none of them never ran.
+    """
+    if run.phases is None:
+        return f"{run.failed} failed; stream failures unknown (no phases ledger)"
+    parts = []
+    stream = 0
+    for phase, row in run.phases.items():
+        failed = row["sent"] - row["ok"]
+        stream += failed
+        kinds = {kind: count for kind, count in row.items() if kind not in ("sent", "ok")}
+        kinds["not run"] = failed - sum(kinds.values())
+        parts += [f"{phase} {kind} {count}" for kind, count in kinds.items() if count]
+    parts.append(f"publishes and training {run.failed - stream}")
+    return f"{run.failed} failed: " + ", ".join(parts)
+
+
 def parse_runs(lines: Iterable[str]) -> Dict[Tuple[str, int], Run]:
     """``{(workload, seed): Run}`` from the output lines of ``perfbench/run.py``."""
     runs: Dict[Tuple[str, int], Run] = {}
     key: Optional[Tuple[str, int]] = None
     digest: Optional[str] = None
+    phases: Optional[Dict[str, Dict[str, int]]] = None
     for line in lines:
         line = line.strip()
         if not line.startswith("{"):
@@ -119,6 +160,7 @@ def parse_runs(lines: Iterable[str]) -> Dict[Tuple[str, int], Run]:
         if "detail" in record:
             key = (str(record["detail"]["workload"]), int(record["detail"]["seed"]))
             digest = record["detail"].get("inputs_digest")
+            phases = _ledger(record["detail"])
         elif "correct" in record:
             if key is None:
                 raise ValueError("a result line precedes any detail line")
@@ -130,6 +172,7 @@ def parse_runs(lines: Iterable[str]) -> Dict[Tuple[str, int], Run]:
                 failed=int(record["failed"]),
                 metrics={name: float(m["value"]) for name, m in record["metrics"].items()},
                 inputs_digest=digest,
+                phases=phases,
             )
             key = None
     return runs
@@ -190,6 +233,12 @@ def compare(
                 for key, p, c in zip(keys, parent, change)
                 if p.inputs_digest and c.inputs_digest and p.inputs_digest != c.inputs_digest
             ],
+            failures=[
+                (side, key[1], describe_failures(run))
+                for side, runs in (("parent", parent), ("change", change))
+                for key, run in zip(keys, runs)
+                if run.failed
+            ],
         )
         for metric in end_to_end:
             name = metric["name"]
@@ -224,6 +273,8 @@ def format_report(reports: Sequence[WorkloadReport]) -> str:
             f"incorrect runs parent {report.incorrect[0]}, change {report.incorrect[1]}"
             + ("; FAILURE SHARE ROSE" if report.failure_share_rose else "")
         )
+        for side, seed, where in report.failures:
+            out.append(f"  FAILED {side} seed {seed}: {where}")
         for seed, parent_digest, change_digest in report.inputs_differ:
             out.append(
                 f"  INPUTS DIFFER: {report.workload} seed {seed}: parent inputs_digest "

@@ -137,8 +137,8 @@ class RecommenderModel(Module):
         it is that product.  The serving layer builds approximate-
         nearest-neighbour retrieval indexes (:mod:`repro.serving.retrieval`)
         over ``item_factors``, so top-k requests can shortlist a few
-        hundred candidates instead of scoring the whole catalog, and
-        rescores the shortlist through the same product.  Models without
+        percent of the catalog instead of scoring all of it, and rescores
+        the shortlist with the same rows and product.  Models without
         factors return ``None`` without computing anything, and the serving
         layer falls back to exact brute-force scoring for them.
         """

@@ -158,9 +158,10 @@ class RetrievalPolicy:
     Passing a policy to :class:`ModelCatalog` turns shortlist-then-rescore
     retrieval on for every model that exposes
     :meth:`~repro.models.base.RecommenderModel.scoring_factors`; models
-    without factors keep exact brute-force serving.  The index is built (or
-    read from the artifact, see ``prefer_artifact_index``) during cold
-    start — off the request path when a
+    without factors keep exact brute-force serving.  The index and its
+    cell-ordered item table are built (the index possibly read from the
+    artifact, see ``prefer_artifact_index``) during cold start — off the
+    request path when a
     :class:`~repro.serving.warmer.CatalogWarmer` drives warming — and a
     hot-swapped artifact automatically gets a fresh index because a reload
     is a new cold start.
@@ -171,8 +172,10 @@ class RetrievalPolicy:
     catalogs where brute force is already cheap.  With
     ``prefer_artifact_index`` (default) an index embedded in the artifact
     (``save_model(..., retrieval_index=...)``) is loaded instead of
-    rebuilt; an unreadable or mismatched embedded index falls back to a
-    fresh build rather than failing the cold start.
+    rebuilt; an unreadable or mismatched embedded index (another item
+    count, or another width than the model's item factors) falls back to
+    a fresh build rather than failing the cold start.  A retired resident's
+    cell table is dropped, so only live residents hold one.
     """
 
     num_cells: Optional[int] = None
@@ -533,7 +536,7 @@ class ModelCatalog:
             return resident
         if resident is not None:
             # Stale bytes: retire the old resident; caller cold-starts.
-            del self._residents[name]
+            self._retire_locked(name)
             self.stats.reloads += 1
             self.metrics.record(name, "reloads")
         return None
@@ -596,8 +599,7 @@ class ModelCatalog:
             return self._evict_locked(name)
 
     def _evict_locked(self, name: str) -> bool:
-        resident = self._residents.pop(name, None)
-        if resident is None:
+        if self._retire_locked(name) is None:
             return False
         self.stats.evictions += 1
         self.metrics.record(name, "evictions")
@@ -637,11 +639,23 @@ class ModelCatalog:
             entry.info = info
             entry.version += 1
             entry.last_content_check_ns = time.time_ns()
-            if name in self._residents:
-                del self._residents[name]
+            if self._retire_locked(name) is not None:
                 self.stats.reloads += 1
                 self.metrics.record(name, "reloads")
             return entry.version
+
+    def _retire_locked(self, name: str) -> Optional[_Resident]:
+        """Remove ``name``'s resident and drop its index's cell table (lock held).
+
+        A retired recommender can outlive its residency (the gateway keeps
+        the last good one for stale fallback); without the table it pins
+        one copy of the item factors, not two, and rebuilds the table only
+        if it serves again.
+        """
+        resident = self._residents.pop(name, None)
+        if resident is not None and resident.retriever is not None:
+            resident.retriever.release_table()
+        return resident
 
     def _reread_entry(self, entry: CatalogEntry) -> ArtifactInfo:
         """Fresh validated ``ArtifactInfo`` for the entry's path (lock held).
@@ -764,10 +778,11 @@ class ModelCatalog:
             ) from error
         store = EmbeddingStore(model)
         store.refresh()
-        # Retrieval-index construction is part of the cold start: it runs
-        # here, outside the catalog lock (and off the request path when a
-        # CatalogWarmer drives warming), and a hot-swap reload — which is a
-        # new cold start — therefore rebuilds the index for the new bytes.
+        # Retrieval-index and cell-table construction are part of the cold
+        # start: they run here, outside the catalog lock (and off the
+        # request path when a CatalogWarmer drives warming), and a hot-swap
+        # reload — which is a new cold start — therefore rebuilds both for
+        # the new bytes.
         retriever = self._build_retriever(store, path)
         seconds = time.perf_counter() - started
         with self._lock:
@@ -783,10 +798,20 @@ class ModelCatalog:
         return store, seconds
 
     def _build_retriever(self, store: EmbeddingStore, path: Path) -> Optional[RetrievalIndex]:
-        """The resident's retrieval index per :attr:`retrieval` policy (or None)."""
+        """The resident's retrieval index per :attr:`retrieval` policy (or None).
+
+        An embedded index is used only when it covers the model's items at
+        its item-factor width; anything else is rebuilt.  The index's cell
+        table is built here too, so the first request does not pay for it.
+        """
         policy = self.retrieval
         if policy is None or store.model.num_items < policy.min_items:
             return None
+        factors = store.scoring_factors()
+        if factors is None:
+            return None
+        item_factors = factors[1]
+        index = None
         if policy.prefer_artifact_index:
             try:
                 from ..persist import read_retrieval_state
@@ -794,13 +819,14 @@ class ModelCatalog:
                 state = read_retrieval_state(path)
                 if state is not None:
                     index = RetrievalIndex.from_state(*state)
-                    if index.num_items == store.model.num_items:
-                        return index
             except (ArtifactError, RetrievalIndexError, OSError):
-                pass  # unreadable/mismatched embedded index: rebuild below
-        return build_index_for_model(
-            store.model, num_cells=policy.num_cells, nprobe=policy.nprobe, seed=policy.seed
-        )
+                pass  # unreadable embedded index: rebuild below
+        if index is None or (index.num_items, index.dim) != item_factors.shape:
+            index = build_index_for_model(
+                store.model, num_cells=policy.num_cells, nprobe=policy.nprobe, seed=policy.seed
+            )
+        index.cell_table(item_factors, store.version)
+        return index
 
     def _enforce_budget(self, keep: str) -> None:
         if self.resident_budget is None:

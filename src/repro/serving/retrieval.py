@@ -5,17 +5,22 @@ at the paper's long-tail catalog scale (100k–1M items) that wall is the
 first thing to fall over.  :class:`RetrievalIndex` replaces it with the
 classic two-stage shape:
 
-1. **shortlist** — items are partitioned into ``num_cells`` k-means
-   clusters over their factor vectors (an IVF — inverted-file — layout, in
-   pure numpy).  A query scores only the ``num_cells`` centroids, probes
-   the ``nprobe`` best cells, and takes their members as candidates:
+1. **probe** — items are partitioned into ``num_cells`` k-means clusters
+   over their factor vectors (an IVF — inverted-file — layout, in pure
+   numpy).  A query scores only the ``num_cells`` centroids and probes the
+   ``nprobe`` best cells (:meth:`RetrievalIndex.probe`); their members are
+   the candidates (:meth:`RetrievalIndex.shortlist` lists their IDs):
    ``O(num_cells · dim + shortlist)`` work instead of ``O(num_items · dim)``;
-2. **exact rescore** — the shortlist is scored through the model's one
-   score path (:meth:`~repro.serving.store.EmbeddingStore.scores`), so the
-   final ranking over the shortlisted candidates is exactly what brute
-   force would produce for them.  Approximation lives only in which items
-   make the shortlist; recall@k vs exact search is tunable via ``nprobe``
-   (``tests/serving/test_retrieval.py`` gates recall@10 ≥ 0.95 per model).
+2. **exact rescore** — the index keeps the item factors a second time in
+   cell order (:meth:`RetrievalIndex.cell_table`), so each probed cell is
+   one contiguous slice of that table, scanned in place as IVF indexes
+   scan their inverted lists (Jégou, Douze & Schmid, TPAMI 2011).  The
+   slices hold the same rows the model's factor product reads, so the
+   final ranking over the shortlisted candidates is what brute force
+   would produce for them.  Approximation lives only in which items make
+   the shortlist; recall@k vs exact search is tunable via ``nprobe``
+   (``tests/serving/test_retrieval.py`` gates recall@10 ≥ 0.95 per model
+   on a 40-item catalog probed at 7 of 8 cells).
 
 The index clusters the item half of the model's cached factor pair
 (:meth:`~repro.models.base.RecommenderModel.scoring_factors`), and the
@@ -32,7 +37,9 @@ a :class:`~repro.serving.warmer.CatalogWarmer` — and a hot-swapped artifact
 automatically gets a fresh index.  Alternatively the index can ride inside
 the artifact itself (``repro.persist.save_model(..., retrieval_index=...)``
 stores its arrays under ``index/`` with header-declared parameters), so the
-serving process never pays the k-means build.
+serving process never pays the k-means build.  The cell table is derived
+from the served factors, never stored: the catalog builds it at cold start
+and drops it when the resident retires.
 
 Usage — exact parity when every cell is probed, approximate below:
 
@@ -54,6 +61,7 @@ True
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -82,17 +90,18 @@ class RetrievalIndexError(ValueError):
     """The index cannot be built or restored (bad shapes, foreign params)."""
 
 
-def _check_permutation(cell_items: np.ndarray) -> None:
-    """Raise unless ``cell_items`` holds each ID in ``range(size)`` exactly once.
+def _inverse_permutation(cell_items: np.ndarray) -> np.ndarray:
+    """Each item ID's position in ``cell_items``; raises unless it is a permutation.
 
-    A negative ID would pass through numpy's wrap-around indexing and be
+    ``cell_items`` must hold each ID in ``range(size)`` exactly once.  A
+    negative ID would pass through numpy's wrap-around indexing and be
     served as an item ID; an out-of-range or repeated one loses an item.
     """
     num_items = cell_items.size
     if cell_items.ndim != 1:
         raise RetrievalIndexError(f"cell_items must be 1-D, got shape {cell_items.shape}")
     if num_items == 0:
-        return
+        return np.zeros(0, dtype=np.int64)
     low, high = int(cell_items.min()), int(cell_items.max())
     if low < 0 or high >= num_items:
         raise RetrievalIndexError(
@@ -101,6 +110,9 @@ def _check_permutation(cell_items: np.ndarray) -> None:
     counts = np.bincount(cell_items, minlength=num_items)
     if counts.max() > 1:
         raise RetrievalIndexError(f"cell_items repeats item ID {int(np.argmax(counts))}")
+    rows = np.empty(num_items, dtype=np.int64)
+    rows[cell_items] = np.arange(num_items, dtype=np.int64)
+    return rows
 
 
 class RetrievalIndex:
@@ -108,8 +120,9 @@ class RetrievalIndex:
 
     ``centroids`` is ``(num_cells, dim)``; ``cell_items`` holds every item
     ID grouped by cell, with ``cell_offsets`` (CSR-style, ``num_cells + 1``
-    entries) delimiting each cell's slice.  ``nprobe`` is the default
-    number of cells a query probes — the recall/latency dial.
+    entries) delimiting each cell's slice; ``cell_rows`` inverts it, so
+    ``cell_rows[item]`` is the item's row in cell order.  ``nprobe`` is
+    the default number of cells a query probes — the recall/latency dial.
     """
 
     def __init__(
@@ -134,14 +147,19 @@ class RetrievalIndex:
             raise RetrievalIndexError("cell_offsets do not tile cell_items")
         if np.any(np.diff(cell_offsets) < 0):
             raise RetrievalIndexError("cell_offsets must be non-decreasing")
-        _check_permutation(cell_items)
+        cell_rows = _inverse_permutation(cell_items)
         if nprobe < 1:
             raise RetrievalIndexError(f"nprobe must be positive, got {nprobe}")
         self.centroids = centroids
         self.cell_offsets = cell_offsets
         self.cell_items = cell_items
+        self.cell_rows = cell_rows
         self.nprobe = min(int(nprobe), centroids.shape[0])
         self.seed = int(seed)
+        # (weak reference to the item-factor array, store version, its rows
+        # in cell order), swapped as one tuple so a reader never pairs one
+        # key with another array's table.
+        self._cell_table: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -251,13 +269,12 @@ class RetrievalIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def shortlist(self, queries: np.ndarray, nprobe: Optional[int] = None) -> List[np.ndarray]:
-        """Candidate item IDs per query row (ragged; unordered within a cell).
+    def probe(self, queries: np.ndarray, nprobe: Optional[int] = None) -> np.ndarray:
+        """The ``(queries, nprobe)`` cell IDs each query row probes.
 
-        Probes the ``nprobe`` cells whose centroids score highest under the
-        query (inner product), and returns the union of their members.  The
-        caller rescores the candidates exactly — see
-        :meth:`TopKRecommender <repro.serving.topk.TopKRecommender>`.
+        The ``nprobe`` cells whose centroids score highest under the query
+        (inner product), in no particular order; every cell, in ID order,
+        when ``nprobe`` covers them all.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.shape[1] != self.dim:
@@ -267,19 +284,60 @@ class RetrievalIndex:
         probe = self.nprobe if nprobe is None else min(int(nprobe), self.num_cells)
         if probe < 1:
             raise RetrievalIndexError(f"nprobe must be positive, got {probe}")
+        if probe == self.num_cells:
+            return np.broadcast_to(np.arange(self.num_cells), (queries.shape[0], self.num_cells))
         affinity = queries @ self.centroids.T
-        if probe < self.num_cells:
-            cells = np.argpartition(-affinity, probe - 1, axis=1)[:, :probe]
-        else:
-            cells = np.broadcast_to(np.arange(self.num_cells), (queries.shape[0], self.num_cells))
+        return np.argpartition(-affinity, probe - 1, axis=1)[:, :probe]
+
+    def shortlist(self, queries: np.ndarray, nprobe: Optional[int] = None) -> List[np.ndarray]:
+        """Candidate item IDs per query row (ragged; unordered within a cell).
+
+        The members of each query's :meth:`probe` cells, in probe order.
+        Serving rescores the same candidates without listing them — see
+        :meth:`TopKRecommender <repro.serving.topk.TopKRecommender>`.
+        """
         out: List[np.ndarray] = []
-        for row_cells in cells:
+        for row_cells in self.probe(queries, nprobe):
             members = [
                 self.cell_items[self.cell_offsets[cell] : self.cell_offsets[cell + 1]]
                 for cell in row_cells
             ]
             out.append(np.concatenate(members) if members else np.zeros(0, dtype=np.int64))
         return out
+
+    def cell_table(self, item_factors: np.ndarray, version: int) -> np.ndarray:
+        """``item_factors[cell_items]``: the item rows in cell order.
+
+        Cell ``c``'s members are rows ``cell_offsets[c]:cell_offsets[c + 1]``
+        of the table, so a probed cell is rescored as one contiguous slice
+        instead of a gather.  Built once and cached on the index, keyed on
+        the identity of ``item_factors`` and on ``version``, the
+        :attr:`~repro.serving.store.EmbeddingStore.version` the factors
+        were read at.  The array alone is no key: MF-style models hand out
+        their live embedding tables, which a sparse optimizer step updates
+        in place, and only the store's refresh after training tells.  So
+        every recommender over one resident shares one copy, and a store
+        whose factors change (training, ``load_state_dict``) gets a fresh
+        table after its refresh, never stale rows.  The array is held by
+        weak reference, so the cache never pins a retired factor pair.
+        Two first calls at once may both build; either table is correct
+        and one wins.
+        """
+        cached = self._cell_table
+        if cached is not None and cached[0]() is item_factors and cached[1] == version:
+            return cached[2]
+        if item_factors.shape[0] != self.num_items:
+            raise RetrievalIndexError(
+                f"item_factors hold {item_factors.shape[0]} items but the index covers "
+                f"{self.num_items}"
+            )
+        table = item_factors[self.cell_items]
+        self._cell_table = (weakref.ref(item_factors), version, table)
+        return table
+
+    def release_table(self) -> None:
+        """Drop the cached :meth:`cell_table`; the next use rebuilds it."""
+        self._cell_table = None
 
     # ------------------------------------------------------------------
     # Persistence (arrays + params round-trip through repro.persist)

@@ -132,8 +132,11 @@ class EmbeddingStore:
         ``None`` when the model's score is not an inner product (see
         :meth:`~repro.models.base.RecommenderModel.scoring_factors`).
         Refreshes a stale store first, so the factors always reflect the
-        current parameters — the retrieval layer keys its caches on
-        :attr:`version`.
+        current parameters.  The retrieval layer keys its cell-ordered
+        table on the item array and :attr:`version`
+        (:meth:`~repro.serving.retrieval.RetrievalIndex.cell_table`): a
+        model may hand out its live embedding table, which training updates
+        in place, so only the refresh tells the rows changed.
         """
         self._ensure_fresh()
         with eval_mode(self.model):

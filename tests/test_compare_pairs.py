@@ -21,11 +21,15 @@ END_TO_END = [
 ]
 
 
-def run_output(workload, seed, metrics, failed=0, attempted=100, correct=True, digest=None):
+def run_output(
+    workload, seed, metrics, failed=0, attempted=100, correct=True, digest=None, ledger=None
+):
     """The lines ``perfbench/run.py`` prints for one run (metric table included)."""
     detail = {"detail": {"workload": workload, "seed": seed, "seconds": 12, "trace": 0}}
     if digest is not None:
         detail["detail"]["inputs_digest"] = digest(seed)
+    if ledger is not None:
+        detail["detail"].update(ledger(seed))
     result = {
         "correct": correct,
         "attempted": attempted,
@@ -213,3 +217,60 @@ def test_cli_exits_zero_when_every_pair_ran_the_same_inputs(tmp_path, capsys):
 def test_a_missing_digest_counts_as_unknown(tmp_path):
     # Older outputs carry no digest: only one side having one is no mismatch.
     assert _cli(tmp_path, clean_metrics, parent_digest=_digest) == 0
+
+
+FAILED_KINDS = ("shed", "deadline", "error")
+
+
+def _phases(baseline=(0, 0, 0), burst=(0, 0, 0), burst_not_run=0):
+    """A ``phases`` ledger with ``(shed, deadline, error)`` counts per phase.
+
+    ``burst_not_run`` burst requests never ran: sent, in no outcome column.
+    """
+    book = {
+        phase: {"sent": 50, "ok": 50 - sum(counts), **dict(zip(FAILED_KINDS, counts))}
+        for phase, counts in (("baseline", baseline), ("burst", burst))
+    }
+    book["burst"]["ok"] -= burst_not_run
+    return book
+
+
+def test_failed_operations_are_named_by_side_seed_phase_and_kind(tmp_path, capsys):
+    def parent_ledger(seed):
+        # Seed 3: two sheds and a deadline in the stream, plus one failed publish.
+        return {"phases": _phases(baseline=(2, 0, 0), burst=(0, 1, 0)) if seed == 3 else _phases()}
+
+    def change_ledger(seed):
+        if seed == 5:
+            return {}  # an older output: no ledger, so its stream failures are unknown
+        pool = {"phases": _phases(burst=(0, 0, 2), burst_not_run=1)} if seed == 7 else None
+        return {"phases": _phases(), **({"pool": pool} if pool else {})}
+
+    failures = {("parent", 3): 4, ("change", 5): 3, ("change", 7): 3}
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
+    sides = {}
+    for side, ledger in (("parent", parent_ledger), ("change", change_ledger)):
+        lines = []
+        for seed in range(10):
+            metrics = parent_metrics(seed) if side == "parent" else clean_metrics(seed)
+            failed = failures.get((side, seed), 0)
+            lines += run_output("serve-dense", seed, metrics, failed=failed, ledger=ledger)
+        sides[side] = tmp_path / f"{side}.txt"
+        sides[side].write_text("\n".join(lines) + "\n")
+    argv = ["--parent", str(sides["parent"]), "--change", str(sides["change"])]
+    # The change fails 6 of 1000 operations against the parent's 4: the
+    # verdict and the exit code are the failed share's, as before.
+    assert compare_pairs.main(argv + ["--benchmark", str(benchmark)]) == 1
+    failed = [line.strip() for line in capsys.readouterr().out.splitlines() if "FAILED " in line]
+    assert failed == [
+        "FAILED parent seed 3: 4 failed: baseline shed 2, burst deadline 1, publishes and training 1",
+        "FAILED change seed 5: 3 failed; stream failures unknown (no phases ledger)",
+        "FAILED change seed 7: 3 failed: pool.burst error 2, pool.burst not run 1, "
+        "publishes and training 0",
+    ]
+
+
+def test_clean_runs_print_no_failure_lines(tmp_path, capsys):
+    assert _cli(tmp_path, clean_metrics, ledger=lambda seed: {"phases": _phases()}) == 0
+    assert "FAILED " not in capsys.readouterr().out
