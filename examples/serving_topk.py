@@ -4,9 +4,9 @@
 
 Demonstrates the four pieces the serving and persistence layers add:
 
-1. ``EmbeddingStore`` — propagate once after training (kept consistent
-   during training by its trainer callback), then serve every request from
-   the cached embeddings;
+1. ``EmbeddingStore`` — propagate once after training, then serve every
+   request from the cached embeddings (the model's own cache, which every
+   training epoch drops, so the store never serves stale factors);
 2. ``TopKRecommender`` — batched top-K with observed-item exclusion via
    ``np.argpartition`` partial sort;
 3. ``repro.persist`` model artifacts — save the trained model once, then
@@ -66,7 +66,7 @@ def main() -> None:
     store = EmbeddingStore(model)
     started = time.perf_counter()
     store.refresh()
-    print(f"Embedding store refreshed in {time.perf_counter() - started:.3f}s (version {store.version})")
+    print(f"Embedding store refreshed in {time.perf_counter() - started:.3f}s")
 
     # 3. Serve top-10 recommendations for every test initiator in one batch.
     recommender = TopKRecommender(store, k=10, dataset=split.full)

@@ -16,13 +16,15 @@ The trainer and the evaluator only rely on this interface:
   the serving layer).  For a model with scoring factors the base class
   derives ``score_batch``, ``rank_scores`` and ``scoring_factors`` from the
   cached pair, so dense serving, retrieval rescoring and both evaluator
-  paths share one formula; models without factors (NCF, ItemKNN, AGREE,
-  SIGR) implement ``rank_scores`` and, optionally, ``score_batch``.
+  paths share one formula; models without factors (NCF, ItemKNN, AGREE)
+  implement ``rank_scores`` and, optionally, ``score_batch``.
   ``item_ids=None`` means the whole catalog: item tables are then read in
   place through :func:`item_rows` instead of being gathered row by row;
 * ``prepare_for_evaluation`` / ``invalidate_cache`` — cache the factor pair
   (propagating graph models once per evaluation pass instead of once per
-  scored user) and drop it after the parameters change;
+  scored user) and drop it after the parameters change.  That cache is the
+  only freshness state serving reads: the trainer's epochs and
+  ``load_state_dict`` drop it, and the next reader recomputes the pair;
 * ``state_dict`` / ``load_state_dict`` — the full serialization contract
   used by the artifact layer (:mod:`repro.persist`): trainable parameters
   plus any non-parameter state a model scores with (``extra_state`` /
@@ -105,6 +107,11 @@ class RecommenderModel(Module):
     #: The cached :meth:`compute_scoring_factors` pair; ``None`` until
     #: prepared and after :meth:`invalidate_cache`.
     _eval_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    #: How many pairs :meth:`scoring_factors` has computed.  A pair may hold
+    #: the live embedding tables, which training updates in place, so the
+    #: arrays alone cannot tell a trained pair from the old one; caches
+    #: derived from the factors (the retrieval cell table) key on this too.
+    factor_version: int = 0
 
     def compute_scoring_factors(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """This model's score as one inner product, from the current parameters.
@@ -121,7 +128,7 @@ class RecommenderModel(Module):
         return None
 
     def prepare_for_evaluation(self) -> None:
-        """Compute and cache the scoring factors (and any other scoring state)."""
+        """Recompute and cache the scoring factors."""
         self._eval_cache = None
         self.scoring_factors()
 
@@ -143,6 +150,9 @@ class RecommenderModel(Module):
         layer falls back to exact brute-force scoring for them.
         """
         if self._eval_cache is None:
+            # Bumped before the pair is published, so a reader that sees the
+            # new pair never pairs it with the previous version.
+            self.factor_version += 1
             with no_grad():
                 self._eval_cache = self.compute_scoring_factors()
         return self._eval_cache
@@ -170,9 +180,9 @@ class RecommenderModel(Module):
         item_factors[item_ids].T``; otherwise the base implementation loops
         over ``rank_scores`` so any model is batchable.
 
-        The result is either a new array the caller may write, or a
-        read-only view (e.g. ItemPop broadcasts its popularity vector
-        across users) — copy before mutating a read-only result in place.
+        The factor product is a new array the caller may write.  An
+        override may return a read-only view or a view of an array the
+        model keeps; copy before mutating such a result in place.
         """
         users = np.asarray(users, dtype=np.int64)
         factors = self.scoring_factors()

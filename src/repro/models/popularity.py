@@ -9,13 +9,13 @@ protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 import numpy as np
 
 from ..autograd import Tensor
 from ..data.converters import InteractionConversion
-from .base import DataMode, RecommenderModel, item_rows
+from .base import DataMode, RecommenderModel
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
@@ -48,12 +48,6 @@ class ItemPopularity(RecommenderModel):
     def batch_loss(self, batch: "InteractionBatch") -> Tensor:
         # The model has no trainable parameters; training it is a no-op.
         return Tensor(0.0)
-
-    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64)
-        row = item_rows(self.scores, item_ids)
-        # Read-only view: every row is the same array, with zero copies.
-        return np.broadcast_to(row, (users.size, row.size))
 
     def compute_scoring_factors(self):
         # Popularity is user-independent: a constant 1-dim user factor

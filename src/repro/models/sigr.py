@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, concat, no_grad, segment_sum, sparse_matmul
+from ..autograd import Tensor, concat, segment_sum, sparse_matmul
 from ..data.converters import FixedGroupDataset
 from ..graph.bipartite import BipartiteGraph
 from ..graph.social import FriendshipGraph
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..training.batches import InteractionBatch
-from .base import DataMode, RecommenderModel, item_rows
+from .base import DataMode, RecommenderModel
 
 __all__ = ["SIGR"]
 
@@ -65,7 +65,6 @@ class SIGR(RecommenderModel):
             member_group.extend([group_index] * len(member_array))
         self._members = np.asarray(members, dtype=np.int64)
         self._member_group = np.asarray(member_group, dtype=np.int64)
-        self._group_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Representations
@@ -115,37 +114,14 @@ class SIGR(RecommenderModel):
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def prepare_for_evaluation(self) -> None:
-        with no_grad():
-            self._group_cache = self.group_representations().data
-
-    def invalidate_cache(self) -> None:
-        self._group_cache = None
-
-    def rank_scores(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        group = self.groups.group_for_user(user)
-        if group < 0:
-            user_vector = self.user_embedding.weight.data[user]
-            return self.item_embedding.weight.data[item_ids] @ user_vector
-        if self._group_cache is None:
-            self.prepare_for_evaluation()
-        group_vector = self._group_cache[group]
-        return self.item_embedding.weight.data[item_ids] @ group_vector
-
-    def score_batch(self, users: np.ndarray, item_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        if self._group_cache is None:
-            self.prepare_for_evaluation()
-        users = np.asarray(users, dtype=np.int64)
-        # Each user scores with their group's representation; cold users
-        # (no group history) fall back to their own raw embedding, exactly
-        # as in the per-user path.
-        groups = np.asarray([self.groups.group_for_user(int(user)) for user in users], dtype=np.int64)
-        query_vectors = self.user_embedding.weight.data[users].copy()
-        grouped = groups >= 0
-        if grouped.any():
-            query_vectors[grouped] = self._group_cache[groups[grouped]]
-        return query_vectors @ item_rows(self.item_embedding.weight.data, item_ids).T
+    def compute_scoring_factors(self):
+        # A user scores through their group's representation; a cold user
+        # (no group history) through their own raw embedding.
+        user_factors = self.user_embedding.weight.data.copy()
+        users = np.fromiter(self.groups.group_of_user.keys(), dtype=np.int64)
+        groups = np.fromiter(self.groups.group_of_user.values(), dtype=np.int64)
+        user_factors[users] = self.group_representations().data[groups]
+        return user_factors, self.item_embedding.weight.data
 
     @property
     def name(self) -> str:

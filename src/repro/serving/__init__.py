@@ -4,8 +4,9 @@ This package turns trained :class:`~repro.models.base.RecommenderModel`
 instances into a request-serving system, one layer at a time:
 
 * :class:`EmbeddingStore` owns one model's propagate-once / serve-many
-  lifecycle (precompute after training, invalidate after parameter
-  updates, cold-start from a ``repro.persist`` artifact);
+  lifecycle (precompute after training, cold-start from a
+  ``repro.persist`` artifact); the model's own factor cache decides
+  freshness, so training needs no serving hook;
 * :class:`TopKRecommender` answers batched top-``k`` requests with one
   matrix product plus an ``np.argpartition`` partial sort — or, given a
   :class:`RetrievalIndex`, from an IVF shortlist rescored through the
@@ -63,8 +64,7 @@ indexing) or crashing with a raw ``IndexError`` deep in the score path.
 Single-model wiring::
 
     store = EmbeddingStore(model)
-    trainer = Trainer(model, optimizer, batches, callbacks=[store.callback()])
-    trainer.fit(num_epochs)
+    Trainer(model, optimizer, batches).fit(num_epochs)   # served fresh, no callback
     recommender = TopKRecommender(store, k=10, dataset=split.full)
     result = recommender.recommend(user_batch)
 
@@ -119,14 +119,13 @@ from .resilience import (
     ResilienceState,
 )
 from .retrieval import RetrievalIndex, RetrievalIndexError, build_index_for_model
-from .store import EmbeddingStore, EmbeddingStoreCallback
+from .store import EmbeddingStore
 from .topk import TopKRecommender, TopKResult
 from .warmer import CatalogWarmer, CatalogWarmerError
 from .workers import WorkerCrashError, WorkerPool, WorkerPoolError
 
 __all__ = [
     "EmbeddingStore",
-    "EmbeddingStoreCallback",
     "TopKRecommender",
     "TopKResult",
     "ModelCatalog",

@@ -825,7 +825,7 @@ class ModelCatalog:
             index = build_index_for_model(
                 store.model, num_cells=policy.num_cells, nprobe=policy.nprobe, seed=policy.seed
             )
-        index.cell_table(item_factors, store.version)
+        index.cell_table(item_factors, store.model.factor_version)
         return index
 
     def _enforce_budget(self, keep: str) -> None:

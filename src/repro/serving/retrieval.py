@@ -25,10 +25,10 @@ classic two-stage shape:
 The index clusters the item half of the model's cached factor pair
 (:meth:`~repro.models.base.RecommenderModel.scoring_factors`), and the
 rescore multiplies the user half against the same item rows: for an
-inner-product model (MF, SocialMF, LightGCN, NGCF, DiffNet, GBMF, GBGCN,
-GBGCN-pretrain, ItemPop) that pair *is* the score definition, so the
-shortlist and the rescore cannot drift apart.  Models without factors
-(NCF, ItemKNN, AGREE, SIGR) transparently fall back to exact brute force.
+inner-product model (MF, SocialMF, LightGCN, NGCF, DiffNet, GBMF, SIGR,
+GBGCN, GBGCN-pretrain, ItemPop) that pair *is* the score definition, so
+the shortlist and the rescore cannot drift apart.  Models without factors
+(NCF, ItemKNN, AGREE) transparently fall back to exact brute force.
 
 Index lifecycle: :meth:`RetrievalIndex.build` is deterministic for a given
 ``(item_factors, seed)``, so the :class:`~repro.serving.catalog.ModelCatalog`
@@ -156,7 +156,7 @@ class RetrievalIndex:
         self.cell_rows = cell_rows
         self.nprobe = min(int(nprobe), centroids.shape[0])
         self.seed = int(seed)
-        # (weak reference to the item-factor array, store version, its rows
+        # (weak reference to the item-factor array, factor version, its rows
         # in cell order), swapped as one tuple so a reader never pairs one
         # key with another array's table.
         self._cell_table: Optional[tuple] = None
@@ -311,15 +311,16 @@ class RetrievalIndex:
         Cell ``c``'s members are rows ``cell_offsets[c]:cell_offsets[c + 1]``
         of the table, so a probed cell is rescored as one contiguous slice
         instead of a gather.  Built once and cached on the index, keyed on
-        the identity of ``item_factors`` and on ``version``, the
-        :attr:`~repro.serving.store.EmbeddingStore.version` the factors
-        were read at.  The array alone is no key: MF-style models hand out
-        their live embedding tables, which a sparse optimizer step updates
-        in place, and only the store's refresh after training tells.  So
-        every recommender over one resident shares one copy, and a store
-        whose factors change (training, ``load_state_dict``) gets a fresh
-        table after its refresh, never stale rows.  The array is held by
-        weak reference, so the cache never pins a retired factor pair.
+        the identity of ``item_factors`` and on ``version``, the model's
+        :attr:`~repro.models.base.RecommenderModel.factor_version` the
+        factors were read at.  The array alone is no key: MF-style models
+        and SIGR hand out their live embedding tables, which a sparse
+        optimizer step updates in place, and only the recomputation of the
+        pair after training tells.  So every recommender over one resident
+        shares one copy, and a model whose factors change (training,
+        ``load_state_dict``) gets a fresh table on the next read of its
+        pair, never stale rows.  The array is held by weak reference, so
+        the cache never pins a retired factor pair.
         Two first calls at once may both build; either table is correct
         and one wins.
         """

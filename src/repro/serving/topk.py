@@ -225,8 +225,8 @@ class TopKRecommender:
             rows, items = observed_positions(self._observed_matrix, users)
             if rows.size:
                 if not (scores.flags.writeable and scores.flags.owndata):
-                    # A read-only view (ItemPop broadcasts one row) or a view
-                    # of an array the model keeps: mask a private copy.
+                    # A read-only view or a view of an array the model
+                    # keeps: mask a private copy.
                     scores = scores.copy()
                 scores[rows, items] = -np.inf
 
@@ -249,7 +249,7 @@ class TopKRecommender:
     def _top_k_block_retrieval(self, users: np.ndarray, k: int, factors: tuple) -> tuple:
         user_factors, item_factors = factors
         index = self.retriever
-        table = index.cell_table(item_factors, self.store.version)
+        table = index.cell_table(item_factors, self.store.model.factor_version)
         queries = user_factors[users]
         probed = index.probe(queries)
         top_items = np.full((users.size, k), -1, dtype=np.int64)

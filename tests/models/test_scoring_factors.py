@@ -14,10 +14,8 @@ from repro.models import GBMF, SERVABLE_MODEL_NAMES, build_model
 from repro.models.base import RecommenderModel
 
 #: Models whose score is not an inner product; they keep their own scoring.
-NON_FACTOR_MODELS = {"NCF", "ItemKNN", "AGREE", "SIGR"}
+NON_FACTOR_MODELS = {"NCF", "ItemKNN", "AGREE"}
 FACTOR_MODELS = [name for name in SERVABLE_MODEL_NAMES if name not in NON_FACTOR_MODELS]
-#: ItemPop keeps a zero-copy broadcast ``score_batch`` over its popularity row.
-ALLOWED_OVERRIDES = {("ItemPop", "score_batch")}
 
 
 def _users(dataset):
@@ -29,17 +27,6 @@ def test_factors_exist_exactly_for_inner_product_models(small_split, name):
     model = build_model(name, small_split.train, rng=np.random.default_rng(31))
     factors = model.scoring_factors()
     assert (factors is None) == (name in NON_FACTOR_MODELS)
-
-
-def test_sigr_factor_query_computes_no_group_representations(small_split, monkeypatch):
-    model = build_model("SIGR", small_split.train, rng=np.random.default_rng(31))
-
-    def forbidden():
-        raise AssertionError("scoring_factors computed SIGR's group representations")
-
-    monkeypatch.setattr(model, "group_representations", forbidden)
-    assert model.scoring_factors() is None
-    assert model._group_cache is None
 
 
 @pytest.mark.parametrize("name", FACTOR_MODELS)
@@ -59,8 +46,6 @@ def test_score_batch_is_the_factor_product(small_split, name):
 def test_factor_models_define_scoring_only_through_the_hook(small_split, name):
     model = build_model(name, small_split.train, rng=np.random.default_rng(31))
     for method in ("score_batch", "rank_scores", "scoring_factors"):
-        if (name, method) in ALLOWED_OVERRIDES:
-            continue
         assert getattr(type(model), method) is getattr(RecommenderModel, method), method
 
 

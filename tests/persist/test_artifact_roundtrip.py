@@ -271,7 +271,7 @@ class TestServingFromArtifact:
         path = tmp_path / "gbgcn.npz"
         save_model(model, path)
         cold = EmbeddingStore.from_artifact(path, train)
-        assert cold.is_fresh and cold.version == 1
+        assert cold.model.factor_version == 1  # propagated once, at load
         assert cold.score_all_items(users).tobytes() == expected.tobytes()
 
         warm_top = TopKRecommender(warm, k=5, dataset=small_split.full).recommend(users)

@@ -34,7 +34,7 @@ from repro.training import Trainer, build_batch_iterator
 
 SETTINGS = ModelSettings(embedding_dim=8)
 #: Models whose score is not an inner product: no index, dense serving.
-NON_FACTOR_MODELS = {"NCF", "ItemKNN", "AGREE", "SIGR"}
+NON_FACTOR_MODELS = {"NCF", "ItemKNN", "AGREE"}
 FACTOR_MODELS = [name for name in SERVABLE_MODEL_NAMES if name not in NON_FACTOR_MODELS]
 
 
@@ -181,21 +181,23 @@ def test_new_parameters_are_rescored_after_a_refresh(mf, small_split):
     users = np.arange(small_split.train.num_users, dtype=np.int64)
     recommender = TopKRecommender(store, k=5, dataset=small_split.full, retriever=index)
     before = recommender.recommend(users)
-    old_table = index.cell_table(store.scoring_factors()[1], store.version)
+    old_table = index.cell_table(store.scoring_factors()[1], store.model.factor_version)
     retrained = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(11))
     store.model.load_state_dict(retrained.state_dict())
     store.refresh()
     after = recommender.recommend(users)
-    new_table = index.cell_table(store.scoring_factors()[1], store.version)
+    new_table = index.cell_table(store.scoring_factors()[1], store.model.factor_version)
     assert new_table is not old_table
     assert np.array_equal(new_table, store.scoring_factors()[1][index.cell_items])
     assert not np.array_equal(before.items, after.items)
     assert_same_lists(after, *gather_top_k(store, index, observed, users, 5), store)
 
 
-def test_training_in_place_is_rescored_after_the_callback_refresh(mf, small_split):
+def test_a_plain_trainer_fit_is_served_fresh(mf, small_split):
     # MF hands out its live embedding tables, and sparse SGD updates their
     # rows in place: the factor array is the same object after training.
+    # No serving callback: the table is keyed on the model's factor version,
+    # which the recomputation after training bumps.
     store, index = mf
     observed = observed_of(small_split.full)
     users = np.arange(small_split.train.num_users, dtype=np.int64)
@@ -203,10 +205,7 @@ def test_training_in_place_is_rescored_after_the_callback_refresh(mf, small_spli
     before = recommender.recommend(users)
     item_factors = store.scoring_factors()[1]
     batches = build_batch_iterator(store.model, small_split.train, batch_size=64, seed=0)
-    trainer = Trainer(
-        store.model, SGD(store.model.parameters(), lr=0.5), batches, callbacks=[store.callback()]
-    )
-    trainer.fit(num_epochs=2)
+    Trainer(store.model, SGD(store.model.parameters(), lr=0.5), batches).fit(num_epochs=2)
     assert store.scoring_factors()[1] is item_factors
     after = recommender.recommend(users)
     assert not np.array_equal(before.scores, after.scores)
@@ -226,7 +225,8 @@ def test_a_retired_resident_drops_its_table_and_still_serves(small_split, tmp_pa
     # Held like the gateway's last-good fallback holds it.
     old = catalog.recommender("mf")
     served = old.recommend(users)
-    table = weakref.ref(old.retriever.cell_table(old.store.scoring_factors()[1], old.store.version))
+    item_factors, version = old.store.scoring_factors()[1], old.store.model.factor_version
+    table = weakref.ref(old.retriever.cell_table(item_factors, version))
     if retire == "hot-swap":
         save_model(build(1), directory / "mf.npz")
     elif retire == "reload":
@@ -300,7 +300,7 @@ def test_recommenders_over_one_resident_share_one_table(small_split, tmp_path):
     catalog = ModelCatalog(directory, small_split.train, retrieval=policy)
     cached, one_off = catalog.recommender("gbgcn"), catalog.recommender("gbgcn", k=3)
     assert one_off is not cached and one_off.retriever is cached.retriever
-    item_factors, version = cached.store.scoring_factors()[1], cached.store.version
+    item_factors, version = cached.store.scoring_factors()[1], cached.store.model.factor_version
     table = cached.retriever.cell_table(item_factors, version)
     assert one_off.retriever.cell_table(item_factors, version) is table
 

@@ -15,6 +15,7 @@ fork hooks the child blocks on the first inherited lock and the test
 fails by watchdog timeout.
 """
 
+import gc
 import os
 import select
 import signal
@@ -193,12 +194,14 @@ class TestProtectApi:
             def _reinit_after_fork_in_child(self):
                 pass
 
+        # Collect first: cycles an earlier test left behind (a failed test's
+        # traceback holding protected objects) would otherwise be collected
+        # below and drop the count under the baseline.
+        gc.collect()
         before = forksafe.protected_count()
         instance = Reinitable()
         forksafe.protect(instance)
         assert forksafe.protected_count() == before + 1
         del instance
-        import gc
-
         gc.collect()
         assert forksafe.protected_count() == before

@@ -24,54 +24,41 @@ def store(gbgcn):
 
 
 class TestEmbeddingStore:
-    def test_starts_stale_and_refresh_bumps_version(self, store):
-        assert not store.is_fresh
-        assert store.version == 0
-        assert store.refresh() == 1
-        assert store.is_fresh
-        assert store.version == 1
+    def test_refresh_recomputes_the_models_pair(self, store):
+        assert store.model._eval_cache is None
+        store.refresh()
+        first = store.model._eval_cache
+        assert first is not None and store.model.factor_version == 1
+        store.refresh()
+        assert store.model._eval_cache is not first and store.model.factor_version == 2
 
-    def test_scores_auto_refresh(self, small_split, store):
+    def test_a_read_recomputes_a_dropped_cache(self, small_split, store):
         users = np.asarray([0, 1], dtype=np.int64)
         block = store.score_all_items(users)
-        assert store.is_fresh
+        assert store.model._eval_cache is not None
         assert block.shape == (2, small_split.train.num_items)
+        store.model.invalidate_cache()
+        assert store.score_all_items(users).tobytes() == block.tobytes()
+        assert store.model.factor_version == 2
 
     def test_scores_subset(self, store):
         block = store.scores(np.asarray([2]), np.asarray([0, 3, 1]))
         assert block.shape == (1, 3)
 
-    def test_invalidate_marks_stale(self, store):
-        store.refresh()
-        store.invalidate()
-        assert not store.is_fresh
-        assert store.model._eval_cache is None
-
-    def test_stale_without_auto_refresh_raises(self, gbgcn):
-        store = EmbeddingStore(gbgcn, auto_refresh=False)
-        with pytest.raises(RuntimeError):
-            store.score_all_items(np.asarray([0]))
-
-    def test_training_step_invalidates_via_callback(self, small_split, gbgcn):
+    def test_dense_scores_follow_a_plain_trainer_fit(self, small_split, gbgcn):
         store = EmbeddingStore(gbgcn)
         store.refresh()
         before = store.score_all_items(np.asarray([0]))
 
         iterator = build_batch_iterator(gbgcn, small_split.train, batch_size=64, seed=0)
-        trainer = Trainer(
-            gbgcn,
-            Adam(gbgcn.parameters(), lr=0.05),
-            iterator,
-            callbacks=[store.callback()],
-        )
-        trainer.fit(num_epochs=1)
+        Trainer(gbgcn, Adam(gbgcn.parameters(), lr=0.05), iterator).fit(num_epochs=1)
 
-        # The callback refreshed after training: serving state reflects the
-        # updated parameters, not the pre-training cache.
-        assert store.is_fresh
-        assert store.version >= 2
+        # No serving callback: the epoch dropped the model's cache, so the
+        # store serves the trained parameters, not the pre-training pair.
         after = store.score_all_items(np.asarray([0]))
         assert not np.allclose(before, after)
+        store.refresh()
+        assert store.score_all_items(np.asarray([0])).tobytes() == after.tobytes()
 
     def test_serving_runs_in_eval_mode_and_restores_state(self, gbgcn):
         store = EmbeddingStore(gbgcn)
@@ -97,14 +84,6 @@ class TestEmbeddingStore:
         store.scores(np.asarray([1]), np.asarray([0, 2]))
         assert calls == []
         assert not gbgcn.training
-
-    def test_epoch_end_hook_invalidates(self, store):
-        store.refresh()
-        callback = store.callback(refresh_on_train_end=False)
-        callback.on_epoch_end(trainer=None, record=None)
-        assert not store.is_fresh
-        callback.on_train_end(trainer=None, history=None)
-        assert not store.is_fresh  # refresh_on_train_end=False leaves it stale
 
 
 class TestTopKRecommender:
@@ -259,18 +238,29 @@ class KeptScoresModel(RecommenderModel):
         return block if item_ids is None else block[:, item_ids]
 
 
+class BroadcastScoresModel(RecommenderModel):
+    """Serves every user one score row it keeps, as a read-only broadcast view."""
+
+    def __init__(self, num_users, num_items):
+        super().__init__(num_users, num_items)
+        self.row = np.arange(num_items, dtype=np.float64)
+
+    def score_batch(self, users, item_ids=None):
+        row = self.row if item_ids is None else self.row[item_ids]
+        return np.broadcast_to(row, (np.asarray(users).size, row.size))
+
+
 class TestInPlaceMaskEdges:
-    def test_read_only_block_is_masked_on_a_copy(self, small_split):
-        model = build_model("ItemPop", small_split.train)
+    def test_read_only_block_is_masked_on_a_copy(self):
+        model = BroadcastScoresModel(num_users=3, num_items=6)
         store = EmbeddingStore(model)
-        users = np.asarray([0, 3], dtype=np.int64)
+        users = np.asarray([0, 1], dtype=np.int64)
         assert not store.score_all_items(users).flags.writeable
-        popularity = model.scores.copy()
-        observed = small_split.full.user_item_set(include_participants=True)
-        result = TopKRecommender(store, k=5, dataset=small_split.full).recommend(users)
-        for row, user in enumerate(users):
-            assert not set(result.items[row].tolist()) & observed[int(user)]
-        assert np.array_equal(model.scores, popularity)
+        row = model.row.copy()
+        observed = sp.csr_matrix(np.asarray([[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0], [0] * 6], dtype=bool))
+        result = TopKRecommender(store, k=3, observed_matrix=observed).recommend(users)
+        assert result.items.tolist() == [[4, 3, 2], [5, 3, 2]]
+        assert np.array_equal(model.row, row)
 
     def test_never_writes_into_an_array_the_model_keeps(self):
         model = KeptScoresModel(num_users=3, num_items=6)
