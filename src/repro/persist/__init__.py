@@ -46,7 +46,6 @@ from .artifact import (
     load_state_into,
     migrate_artifact,
     read_header,
-    read_retrieval_state,
     read_state_dict,
     save_model,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "load_state_into",
     "read_header",
     "read_state_dict",
-    "read_retrieval_state",
     "ArtifactInfo",
     "ArtifactScan",
     "artifact_content_token",

@@ -3,15 +3,14 @@
 An artifact exists in one of two on-disk layouts:
 
 * ``layout="npz"`` (format v1, the default) — a single ``.npz`` archive
-  holding ``__header__`` (a JSON document stored as raw UTF-8 bytes),
-  ``state/<key>`` arrays, and optionally ``index/<key>`` arrays of an
-  embedded :class:`~repro.serving.retrieval.RetrievalIndex`;
+  holding ``__header__`` (a JSON document stored as raw UTF-8 bytes) and
+  ``state/<key>`` arrays;
 * ``layout="dir"`` (format v2) — a *directory* (conventionally suffixed
   ``.npyd``) containing ``header.json`` plus one raw ``.npy`` file per
-  array (``state/<key>.npy``, ``index/<key>.npy``).  Raw ``.npy`` members
-  can be opened with ``np.load(..., mmap_mode="r")``, so N serving worker
-  processes share one page-cache copy of the weights instead of N private
-  heaps — the point of the layout.  :func:`migrate_artifact` converts
+  array (``state/<key>.npy``).  Raw ``.npy`` members can be opened with
+  ``np.load(..., mmap_mode="r")``, so N serving worker processes share
+  one page-cache copy of the weights instead of N private heaps — the
+  point of the layout.  :func:`migrate_artifact` converts
   between the two layouts losslessly in either direction.
 
 Readers decide the layout in one place, :func:`_open_artifact`: a
@@ -27,10 +26,11 @@ The header carries the format name and version, the registry model name,
 the :class:`~repro.models.registry.ModelSettings` (and, for GBGCN
 variants, the :class:`~repro.core.gbgcn.GBGCNConfig`) needed to rebuild
 the model, and the dataset-schema fingerprint of the training dataset.
-Old readers ignore unknown header fields (they are filtered on read), so
-embedding an index never breaks format compatibility — and the ``npz``
-layout keeps being written at format v1, so artifacts saved by this
-library version still load under pre-v2 readers.
+Readers drop unknown header fields and read only the ``state/`` group, so
+a header field or member group added later never breaks format
+compatibility — and the ``npz`` layout keeps being written at format v1,
+so artifacts saved by this library version still load under pre-v2
+readers.
 
 :func:`save_model` writes atomically (unique temp name in the destination
 directory + ``os.replace``/``os.rename`` after an fsync), so a crash
@@ -90,7 +90,6 @@ __all__ = [
     "copy_artifact",
     "read_header",
     "read_state_dict",
-    "read_retrieval_state",
     "load_model",
     "load_state_into",
 ]
@@ -128,7 +127,6 @@ TMP_SWEEP_MAX_AGE_SECONDS = 3600.0
 
 _HEADER_KEY = "__header__"
 _STATE_PREFIX = "state/"
-_INDEX_PREFIX = "index/"
 
 
 @dataclass
@@ -142,9 +140,6 @@ class ArtifactHeader:
     schema: Optional[Dict[str, Any]] = None
     state_keys: List[str] = dataclasses.field(default_factory=list)
     library_version: str = ""
-    #: Parameters of an embedded retrieval index (``index/`` arrays), or
-    #: ``None`` when the artifact carries model state only.
-    retrieval: Optional[Dict[str, Any]] = None
 
     def to_json(self) -> str:
         payload = dataclasses.asdict(self)
@@ -174,7 +169,7 @@ class ArtifactHeader:
             raise ArtifactFormatError(
                 f"artifact header state_keys must be a list of strings, got {state_keys!r}"
             )
-        for field_name in ("settings", "gbgcn_config", "schema", "retrieval"):
+        for field_name in ("settings", "gbgcn_config", "schema"):
             value = payload.get(field_name)
             if value is not None and not isinstance(value, dict):
                 raise ArtifactFormatError(
@@ -426,11 +421,11 @@ def _crc32_of_file(path: Path) -> int:
 def _write_dir_artifact(path: Path, header: ArtifactHeader, arrays: Dict[str, np.ndarray]) -> None:
     """Write a ``dir``-layout artifact: raw ``.npy`` members + ``header.json``.
 
-    ``arrays`` maps member keys (already carrying their ``state/`` /
-    ``index/`` group prefix) to arrays.  The header file additionally
-    records a ``members`` manifest — ``{relpath: {"crc32", "size"}}`` over
-    every array file — which plays the role the npz central directory
-    plays for content tokens (see :func:`repro.persist.index.artifact_content_token`).
+    ``arrays`` maps member keys (already carrying their ``state/`` group
+    prefix) to arrays.  The header file additionally records a ``members``
+    manifest — ``{relpath: {"crc32", "size"}}`` over every array file —
+    which plays the role the npz central directory plays for content
+    tokens (see :func:`repro.persist.index.artifact_content_token`).
     The header file is written last and rewritten on every save, so its
     ``(st_size, st_mtime_ns)`` stat identity changes on every publish.
     """
@@ -502,16 +497,10 @@ def _layout_version(layout: str) -> int:
 
 
 def _write_artifact(
-    path: Path,
-    header: ArtifactHeader,
-    state: Dict[str, np.ndarray],
-    index: Dict[str, np.ndarray],
-    layout: str,
+    path: Path, header: ArtifactHeader, state: Dict[str, np.ndarray], layout: str
 ) -> None:
-    """Write the header plus the ``state/`` and ``index/`` arrays at ``path`` in ``layout``."""
+    """Write the header plus the ``state/`` arrays at ``path`` in ``layout``."""
     grouped = {_STATE_PREFIX + key: np.ascontiguousarray(value) for key, value in state.items()}
-    for key, value in index.items():
-        grouped[_INDEX_PREFIX + key] = np.ascontiguousarray(value)
     if layout == LAYOUT_DIR:
         _write_dir_artifact(path, header, grouped)
     else:
@@ -526,7 +515,6 @@ def save_model(
     dataset: Optional["GroupBuyingDataset"] = None,
     settings=None,
     model_name: Optional[str] = None,
-    retrieval_index=None,
     layout: str = LAYOUT_NPZ,
 ) -> ArtifactHeader:
     """Persist ``model`` as a versioned artifact at ``path``.
@@ -538,12 +526,6 @@ def save_model(
     ``settings``/``model_name`` explicitly; GBGCN variants additionally
     record their :class:`~repro.core.gbgcn.GBGCNConfig` so they round-trip
     even without registry settings.  Returns the written header.
-
-    ``retrieval_index`` embeds a prebuilt
-    :class:`~repro.serving.retrieval.RetrievalIndex` (its arrays under
-    ``index/``, its parameters in the header's ``retrieval`` field) so a
-    serving catalog can cold-start ANN retrieval without re-clustering —
-    recover it with :func:`read_retrieval_state`.
 
     ``layout`` selects the on-disk representation: ``"npz"`` (default) is
     the single-file v1 archive; ``"dir"`` writes the mmap-able v2
@@ -582,16 +564,6 @@ def save_model(
     # Zero-copy views: the arrays are only read while the writer streams
     # them out, so snapshotting the whole model first would double memory.
     state = model.state_arrays()
-    retrieval_params: Optional[Dict[str, Any]] = None
-    index: Dict[str, np.ndarray] = {}
-    if retrieval_index is not None:
-        if int(retrieval_index.num_items) != int(model.num_items):
-            raise ArtifactError(
-                f"retrieval index covers {retrieval_index.num_items} items but the model "
-                f"serves {model.num_items}; build the index from this model's item factors"
-            )
-        retrieval_params = dict(retrieval_index.params())
-        index = retrieval_index.state_arrays()
     header = ArtifactHeader(
         format_version=version,
         model_name=name,
@@ -600,9 +572,8 @@ def save_model(
         schema=schema,
         state_keys=sorted(state),
         library_version=_library_version(),
-        retrieval=retrieval_params,
     )
-    _write_artifact(path, header, state, index, layout)
+    _write_artifact(path, header, state, layout)
     return header
 
 
@@ -613,15 +584,14 @@ def migrate_artifact(
 ) -> Path:
     """Convert an artifact between the v1 ``npz`` and v2 ``dir`` layouts.
 
-    The cross-version migration shim: every header field (model identity,
-    settings, schema fingerprint, retrieval parameters) and every array —
-    model state *and* embedded retrieval index — carries over exactly;
-    only ``format_version`` changes to the target layout's version.  The
-    source artifact is left untouched.  ``destination`` defaults to the
-    source path with the conventional suffix swapped
-    (``model.npz`` ↔ ``model.npyd``); migrating to the layout the artifact
-    already has simply rewrites it at the destination.  Returns the
-    destination path.
+    The cross-version migration shim: every header field this library
+    reads (model identity, settings, schema fingerprint) and every model
+    state array carries over exactly; only ``format_version`` changes to
+    the target layout's version.  The source artifact is left untouched.
+    ``destination`` defaults to the source path with the conventional
+    suffix swapped (``model.npz`` ↔ ``model.npyd``); migrating to the
+    layout the artifact already has simply rewrites it at the destination.
+    Returns the destination path.
 
     >>> import tempfile
     >>> from pathlib import Path
@@ -645,7 +615,6 @@ def migrate_artifact(
     with _open_artifact(path) as artifact:
         header = artifact.header()
         state = _read_state(artifact, header, mmap_mode=None)
-        index = _read_index(artifact, header)
     if destination is None:
         suffix = DIR_SUFFIX if to_layout == LAYOUT_DIR else ".npz"
         destination = path.with_suffix(suffix)
@@ -659,7 +628,7 @@ def migrate_artifact(
         format_version=version,
         library_version=_library_version(),
     )
-    _write_artifact(destination, migrated, state, index, to_layout)
+    _write_artifact(destination, migrated, state, to_layout)
     return destination
 
 
@@ -867,19 +836,6 @@ def _read_state(
     return state
 
 
-def _read_index(artifact: _Reader, header: ArtifactHeader) -> Dict[str, np.ndarray]:
-    """The embedded retrieval index's arrays; empty when the header declares none."""
-    if header.retrieval is None:
-        return {}
-    arrays = artifact.arrays("index", None)
-    if not arrays:
-        raise ArtifactFormatError(
-            f"artifact {artifact.path} declares a retrieval index in its header but carries no "
-            f"{_INDEX_PREFIX!r} arrays (truncated or hand-edited write?)"
-        )
-    return arrays
-
-
 def read_header(path: Union[str, Path]) -> ArtifactHeader:
     """Read and validate only the JSON header of an artifact (either layout)."""
     with _open_artifact(Path(path)) as artifact:
@@ -891,24 +847,6 @@ def read_state_dict(path: Union[str, Path]) -> Tuple[ArtifactHeader, Dict[str, n
     with _open_artifact(Path(path)) as artifact:
         header = artifact.header()
         return header, _read_state(artifact, header, mmap_mode=None)
-
-
-def read_retrieval_state(
-    path: Union[str, Path],
-) -> Optional[Tuple[Dict[str, Any], Dict[str, np.ndarray]]]:
-    """The embedded retrieval index of an artifact, or ``None``.
-
-    Returns ``(params, arrays)`` — the header's ``retrieval`` parameter
-    dict and the raw ``index/`` arrays — ready for
-    ``RetrievalIndex.from_state``.  ``None`` when the artifact was saved
-    without ``retrieval_index=`` (the common case); an artifact whose
-    header declares an index but whose ``index/`` arrays are missing is
-    corrupt and raises :class:`ArtifactFormatError`.
-    """
-    with _open_artifact(Path(path)) as artifact:
-        header = artifact.header()
-        index = _read_index(artifact, header)
-    return None if header.retrieval is None else (dict(header.retrieval), index)
 
 
 def _check_schema(header: ArtifactHeader, dataset: "GroupBuyingDataset", path: Path) -> None:

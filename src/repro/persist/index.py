@@ -154,9 +154,9 @@ class ArtifactScan:
 
     ``entries`` maps catalog name (file stem) to :class:`ArtifactInfo` for
     every readable artifact; ``failures`` maps file name to the error
-    message for files matching the pattern that are *not* valid artifacts,
-    so an operator can diagnose a broken catalog directory from the scan
-    alone.
+    message for ``*.npz`` files and ``*.npyd`` directories that are *not*
+    valid artifacts, so an operator can diagnose a broken catalog
+    directory from the scan alone.
     """
 
     directory: Path
@@ -209,31 +209,30 @@ def read_artifact_header(path: Union[str, Path]) -> ArtifactInfo:
     )
 
 
-#: Default bounded-retry policy for transient header-read failures during a
-#: directory scan: how many *re*-reads after the first failure, and the base
-#: backoff (jittered, doubling per attempt).  A file caught mid-replace —
-#: a transient ``OSError`` or a half-written archive — usually reads clean
-#: milliseconds later; a permanently bad file still lands in
-#: ``scan.failures`` after at most ``SCAN_RETRIES`` cheap re-reads, so
-#: permanent failures surface promptly (the total added delay is bounded by
-#: ``~3 * SCAN_RETRY_BACKOFF_SECONDS * 1.5`` per bad file).
+#: Bounded-retry policy for transient header-read failures during a
+#: directory scan, read at call time: how many *re*-reads after the first
+#: failure, and the base backoff (jittered, doubling per attempt).  A file
+#: caught mid-replace — a transient ``OSError`` or a half-written archive —
+#: usually reads clean milliseconds later; a permanently bad file still
+#: lands in ``scan.failures`` after at most ``SCAN_RETRIES`` cheap re-reads,
+#: so permanent failures surface promptly (the total added delay is bounded
+#: by ``~3 * SCAN_RETRY_BACKOFF_SECONDS * 1.5`` per bad file).
 SCAN_RETRIES = 2
 SCAN_RETRY_BACKOFF_SECONDS = 0.01
 
 
-def _read_header_with_retries(
-    path: Path, retries: int, backoff_seconds: float
-) -> ArtifactInfo:
+def _read_header_with_retries(path: Path) -> ArtifactInfo:
     """``read_artifact_header`` with bounded, jittered retry on failure.
 
     Every failure class is retried — a mid-replace window can surface as
     ``OSError``, a vanished path, or a torn half-written archive
     (``ArtifactFormatError``), and distinguishing "transient" from
     "permanent" up front is guesswork.  Boundedness is the guarantee: a
-    permanent failure propagates after ``retries`` extra reads, never an
-    unbounded loop.  Backoff doubles per attempt with multiplicative
-    jitter in [0.5x, 1.5x) so a fleet of scanners racing one publisher
-    doesn't retry in lockstep.
+    permanent failure propagates after :data:`SCAN_RETRIES` extra reads,
+    never an unbounded loop.  Backoff starts at
+    :data:`SCAN_RETRY_BACKOFF_SECONDS` and doubles per attempt with
+    multiplicative jitter in [0.5x, 1.5x) so a fleet of scanners racing
+    one publisher doesn't retry in lockstep.
     """
     attempt = 0
     while True:
@@ -243,38 +242,29 @@ def _read_header_with_retries(
             # A vanished artifact is permanent for this cycle (the
             # publisher deleted or renamed it) — surface it promptly
             # instead of burning retries on a file that cannot come back.
-            if attempt >= retries or not path.exists():
+            if attempt >= SCAN_RETRIES or not path.exists():
                 raise
             # repro: allow(RNG-001) -- retry-backoff jitter wants cross-process entropy, not reproducibility; seeding it would synchronize the very retries it decorrelates
-            time.sleep(backoff_seconds * (2**attempt) * (0.5 + random.random()))
+            time.sleep(SCAN_RETRY_BACKOFF_SECONDS * (2**attempt) * (0.5 + random.random()))
             attempt += 1
 
 
-def scan_artifact_directory(
-    directory: Union[str, Path],
-    pattern: str = "*.npz",
-    strict: bool = False,
-    dir_pattern: str = f"*{DIR_SUFFIX}",
-    retries: int = SCAN_RETRIES,
-    retry_backoff_seconds: float = SCAN_RETRY_BACKOFF_SECONDS,
-) -> ArtifactScan:
+def scan_artifact_directory(directory: Union[str, Path]) -> ArtifactScan:
     """Index every artifact in ``directory`` via header-only reads.
 
-    Regular files matching ``pattern`` are read as ``npz``-layout
-    artifacts; subdirectories matching ``dir_pattern`` as ``dir``-layout
-    artifacts.  Entries that fail header validation are recorded in
-    :attr:`ArtifactScan.failures` (with ``strict=True`` the first failure
-    raises instead — useful in tests and CI).  The scan is safe against a
+    Regular ``*.npz`` files are read as ``npz``-layout artifacts;
+    ``*.npyd`` subdirectories (:data:`~repro.persist.artifact.DIR_SUFFIX`)
+    as ``dir``-layout artifacts.  Entries that fail header validation are
+    recorded in :attr:`ArtifactScan.failures`.  The scan is safe against a
     concurrent writer or deleter: a file that disappears between the
     directory listing and the header read degrades to a ``failures`` entry
     naming the race (never a propagated ``FileNotFoundError``), which is
     what a background rescan thread needs to coexist with publishers.  A
-    failing header read is retried up to ``retries`` times with jittered
-    backoff (``retry_backoff_seconds`` base) before being declared failed,
-    so a file caught mid-replace does not flap in and out of ``failures``
-    on every warmer cycle; pass ``retries=0`` to fail on the first error.
-    Two entries whose stems collide (``gbgcn.npz`` vs a ``gbgcn.npyd``
-    dir) are a hard error in both modes: a catalog name must identify
+    failing header read is retried up to :data:`SCAN_RETRIES` times with
+    jittered backoff before being declared failed, so a file caught
+    mid-replace does not flap in and out of ``failures`` on every warmer
+    cycle.  Two entries whose stems collide (``gbgcn.npz`` vs a
+    ``gbgcn.npyd`` dir) are a hard error: a catalog name must identify
     exactly one artifact.
     """
     directory = Path(directory)
@@ -282,26 +272,22 @@ def scan_artifact_directory(
         raise ArtifactFormatError(f"artifact directory does not exist: {directory}")
     scan = ArtifactScan(directory=directory)
     candidates: Dict[str, Path] = {}
-    for path in directory.glob(pattern):
+    for path in directory.glob("*.npz"):
         if path.is_file():
             candidates[path.name] = path
-    for path in directory.glob(dir_pattern):
+    for path in directory.glob(f"*{DIR_SUFFIX}"):
         if path.is_dir():
             candidates[path.name] = path
     for name in sorted(candidates):
         path = candidates[name]
         try:
-            info = _read_header_with_retries(path, retries, retry_backoff_seconds)
+            info = _read_header_with_retries(path)
         except ArtifactError as error:
-            if strict:
-                raise
             scan.failures[path.name] = str(error)
             continue
         except OSError as error:
             # A racing deletion can also surface from is_file()/glob stat
             # calls on some filesystems; degrade identically.
-            if strict:
-                raise ArtifactFormatError(f"artifact file is not readable: {path} ({error})") from error
             scan.failures[path.name] = f"artifact file is not readable: {path} ({error})"
             continue
         if info.name in scan.entries:

@@ -18,8 +18,8 @@ behind one object pointed at a directory of ``repro.persist`` artifacts:
   evicted when the budget would overflow (explicit :meth:`evict` works
   too);
 * **hot-swap** — every access re-checks the artifact file (stat identity
-  plus, by default, the content token that catches same-size replacements
-  within one mtime tick); when a trainer (e.g.
+  plus the content token that catches same-size replacements within one
+  mtime tick); when a trainer (e.g.
   :class:`~repro.training.callbacks.ModelCheckpoint` publishing into the
   catalog directory) atomically replaces it, the catalog reloads the new
   bytes and bumps the entry's ``version``;
@@ -95,7 +95,7 @@ from . import forksafe
 from .errors import DeadlineExceededError
 from .faults import InjectedFaultError, fault_point
 from .metrics import MetricsRegistry
-from .retrieval import RetrievalIndex, RetrievalIndexError, build_index_for_model
+from .retrieval import RetrievalIndex, build_index_for_model
 from .store import EmbeddingStore
 from .topk import TopKRecommender
 
@@ -159,30 +159,35 @@ class RetrievalPolicy:
     retrieval on for every model that exposes
     :meth:`~repro.models.base.RecommenderModel.scoring_factors`; models
     without factors keep exact brute-force serving.  The index and its
-    cell-ordered item table are built (the index possibly read from the
-    artifact, see ``prefer_artifact_index``) during cold start — off the
-    request path when a
+    cell-ordered item table are built from the served item factors during
+    cold start — off the request path when a
     :class:`~repro.serving.warmer.CatalogWarmer` drives warming — and a
     hot-swapped artifact automatically gets a fresh index because a reload
-    is a new cold start.
+    is a new cold start.  A retired resident's cell table is dropped, so
+    only live residents hold one.
 
     ``num_cells`` / ``nprobe`` / ``seed`` are forwarded to
     :meth:`~repro.serving.retrieval.RetrievalIndex.build` (``None`` picks
-    the scale-aware defaults).  ``min_items`` skips index construction for
-    catalogs where brute force is already cheap.  With
-    ``prefer_artifact_index`` (default) an index embedded in the artifact
-    (``save_model(..., retrieval_index=...)``) is loaded instead of
-    rebuilt; an unreadable or mismatched embedded index (another item
-    count, or another width than the model's item factors) falls back to
-    a fresh build rather than failing the cold start.  A retired resident's
-    cell table is dropped, so only live residents hold one.
+    the scale-aware defaults); a ``num_cells`` or ``nprobe`` below 1 is
+    refused here, and a ``num_cells`` above the catalog's item count by
+    :class:`ModelCatalog`, so an unbuildable policy fails at construction
+    rather than on every request.  ``min_items`` skips index construction
+    for catalogs where brute force is already cheap.
     """
 
     num_cells: Optional[int] = None
     nprobe: Optional[int] = None
     seed: int = 0
     min_items: int = 0
-    prefer_artifact_index: bool = True
+
+    def __post_init__(self) -> None:
+        for field_name in ("num_cells", "nprobe"):
+            value = getattr(self, field_name)
+            if value is not None and value < 1:
+                raise ValueError(
+                    f"RetrievalPolicy.{field_name} must be at least 1 (or None for the "
+                    f"scale-aware default), got {value}"
+                )
 
 
 @dataclass
@@ -226,7 +231,7 @@ class ModelCatalog:
     ``content_check_grace_seconds`` (class attribute, overridable per
     instance) bounds how long after a file's mtime the content token is
     re-verified on every access, and the cadence of the periodic re-check
-    past that (see ``verify_content`` below).
+    past that.
 
     Parameters
     ----------
@@ -245,19 +250,6 @@ class ModelCatalog:
         Maximum number of models kept loaded at once (``None`` = unbounded).
     default_k, exclude_observed:
         Defaults for recommenders built by :meth:`recommender`.
-    verify_content:
-        When True (default), the per-access freshness check also compares
-        the artifact's content token (a digest of its member CRCs), so a
-        same-size replacement within one mtime tick is still hot-swapped.
-        The token is re-read while the file's mtime is recent
-        (:attr:`content_check_grace_seconds`) — the window where the stat
-        identity can be blind — and otherwise at most once per grace
-        period, which bounds detection of a swap first accessed much later
-        to one grace period; steady-state accesses cost one ``os.stat``.
-        ``False`` trusts ``(st_size, st_mtime_ns)`` alone; pair it with an
-        explicit :meth:`reload` (or a rescanning
-        :class:`~repro.serving.warmer.CatalogWarmer`) if your publisher can
-        produce stat-identical replacements.
     metrics:
         The :class:`~repro.serving.metrics.MetricsRegistry` to record
         into; a fresh enabled registry by default (pass
@@ -267,7 +259,10 @@ class ModelCatalog:
         for factor-exposing models (``None`` — the default — serves every
         model with exact brute force).  Indexes are built at cold start and
         rebuilt on hot-swap, so a warmer-driven catalog never pays the
-        build on the request path.
+        build on the request path.  Raises ``ValueError`` when the policy's
+        ``num_cells`` exceeds the item count of a catalog at or above its
+        ``min_items``: every artifact shares ``train_dataset``'s item
+        universe, so no index build could succeed.
     """
 
     #: How long after an artifact's mtime the content token is re-verified
@@ -287,19 +282,27 @@ class ModelCatalog:
         resident_budget: Optional[int] = None,
         default_k: int = 10,
         exclude_observed: bool = True,
-        verify_content: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         retrieval: Optional[RetrievalPolicy] = None,
     ) -> None:
         if resident_budget is not None and resident_budget < 1:
             raise ValueError("resident_budget must be at least 1 (or None for unbounded)")
+        num_items = train_dataset.num_items
+        if (
+            retrieval is not None
+            and retrieval.num_cells is not None
+            and retrieval.num_cells > num_items >= retrieval.min_items
+        ):
+            raise ValueError(
+                f"RetrievalPolicy.num_cells={retrieval.num_cells} exceeds the {num_items} "
+                f"items every artifact of this catalog serves; no index could be built"
+            )
         self.directory = Path(directory)
         self.train_dataset = train_dataset
         self.serving_dataset = serving_dataset if serving_dataset is not None else train_dataset
         self.resident_budget = resident_budget
         self.default_k = default_k
         self.exclude_observed = exclude_observed
-        self.verify_content = verify_content
         self.retrieval = retrieval
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Servable entries by catalog name (file stem), filled by :meth:`scan`.
@@ -459,9 +462,9 @@ class ModelCatalog:
         """The serving store for ``name``, cold-starting or reloading as needed.
 
         Every call re-checks the artifact file (stat identity, plus content
-        token unless ``verify_content=False``): a replaced file triggers a
-        reload of the new bytes (version bump), a vanished file raises
-        :class:`CatalogError`.  Access marks the model most recently used.
+        token): a replaced file triggers a reload of the new bytes
+        (version bump), a vanished file raises :class:`CatalogError`.
+        Access marks the model most recently used.
         Thread-safe; concurrent requests for the same cold model perform a
         single load.
 
@@ -618,10 +621,9 @@ class ModelCatalog:
         version bumped — even when stat identity *and* content token look
         unchanged — so the next access reloads the bytes from disk.  Use it
         when a publisher bypasses the detectable channels entirely (e.g.
-        in-place writes through a cache that preserves CRCs), or after
-        ``verify_content=False`` deployments republish.  Without ``force``
-        this runs the ordinary freshness check (useful to take a hot-swap
-        *now* rather than on the next request).
+        in-place writes through a cache that preserves CRCs).  Without
+        ``force`` this runs the ordinary freshness check (useful to take a
+        hot-swap *now* rather than on the next request).
 
         A name the catalog has never indexed triggers a :meth:`scan` first
         (directory IO outside the catalog lock, like any scan), so
@@ -706,8 +708,6 @@ class ModelCatalog:
                 f"{entry.path} ({error})"
             ) from error
         if (stat.st_size, stat.st_mtime_ns) == (entry.info.size_bytes, entry.info.mtime_ns):
-            if not self.verify_content:
-                return
             # Stat identity unchanged — but a same-size replacement within
             # one mtime tick is invisible to stat.  The content token (a
             # digest of member CRCs, no decompression) closes that hole.
@@ -783,7 +783,7 @@ class ModelCatalog:
         # request path when a CatalogWarmer drives warming), and a hot-swap
         # reload — which is a new cold start — therefore rebuilds both for
         # the new bytes.
-        retriever = self._build_retriever(store, path)
+        retriever = self._build_retriever(store)
         seconds = time.perf_counter() - started
         with self._lock:
             entry = self.entries.get(name)
@@ -797,12 +797,13 @@ class ModelCatalog:
             self._enforce_budget(keep=name)
         return store, seconds
 
-    def _build_retriever(self, store: EmbeddingStore, path: Path) -> Optional[RetrievalIndex]:
+    def _build_retriever(self, store: EmbeddingStore) -> Optional[RetrievalIndex]:
         """The resident's retrieval index per :attr:`retrieval` policy (or None).
 
-        An embedded index is used only when it covers the model's items at
-        its item-factor width; anything else is rebuilt.  The index's cell
-        table is built here too, so the first request does not pay for it.
+        Built from the served item factors, through the module-level
+        ``build_index_for_model`` that perfbench's ``retrieval.build`` span
+        patches.  The index's cell table is built here too, so the first
+        request does not pay for it.
         """
         policy = self.retrieval
         if policy is None or store.model.num_items < policy.min_items:
@@ -810,22 +811,10 @@ class ModelCatalog:
         factors = store.scoring_factors()
         if factors is None:
             return None
-        item_factors = factors[1]
-        index = None
-        if policy.prefer_artifact_index:
-            try:
-                from ..persist import read_retrieval_state
-
-                state = read_retrieval_state(path)
-                if state is not None:
-                    index = RetrievalIndex.from_state(*state)
-            except (ArtifactError, RetrievalIndexError, OSError):
-                pass  # unreadable embedded index: rebuild below
-        if index is None or (index.num_items, index.dim) != item_factors.shape:
-            index = build_index_for_model(
-                store.model, num_cells=policy.num_cells, nprobe=policy.nprobe, seed=policy.seed
-            )
-        index.cell_table(item_factors, store.model.factor_version)
+        index = build_index_for_model(
+            store.model, num_cells=policy.num_cells, nprobe=policy.nprobe, seed=policy.seed
+        )
+        index.cell_table(factors[1], store.model.factor_version)
         return index
 
     def _enforce_budget(self, keep: str) -> None:

@@ -31,15 +31,12 @@ the shortlist and the rescore cannot drift apart.  Models without factors
 (NCF, ItemKNN, AGREE) transparently fall back to exact brute force.
 
 Index lifecycle: :meth:`RetrievalIndex.build` is deterministic for a given
-``(item_factors, seed)``, so the :class:`~repro.serving.catalog.ModelCatalog`
-rebuilds the index during cold start — off the request path when driven by
-a :class:`~repro.serving.warmer.CatalogWarmer` — and a hot-swapped artifact
-automatically gets a fresh index.  Alternatively the index can ride inside
-the artifact itself (``repro.persist.save_model(..., retrieval_index=...)``
-stores its arrays under ``index/`` with header-declared parameters), so the
-serving process never pays the k-means build.  The cell table is derived
-from the served factors, never stored: the catalog builds it at cold start
-and drops it when the resident retires.
+``(item_factors, seed)``, and the index is derived from the served factors,
+never stored: the :class:`~repro.serving.catalog.ModelCatalog` builds it,
+and its cell table, during cold start — off the request path when driven
+by a :class:`~repro.serving.warmer.CatalogWarmer` — so a hot-swapped
+artifact automatically gets a fresh index, and drops the table when the
+resident retires.
 
 Usage — exact parity when every cell is probed, approximate below:
 
@@ -62,16 +59,13 @@ True
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..autograd.sparse_grad import coalesce_rows
 
 __all__ = ["RetrievalIndexError", "RetrievalIndex", "build_index_for_model"]
-
-#: Identifies the index layout inside artifact headers; bump on change.
-INDEX_KIND = "ivf-flat-ip/v1"
 
 #: Largest k-means training sample — clustering cost stays bounded while
 #: the assignment pass still covers every item exactly once.
@@ -87,7 +81,7 @@ _ASSIGN_BLOCK = 2048
 
 
 class RetrievalIndexError(ValueError):
-    """The index cannot be built or restored (bad shapes, foreign params)."""
+    """The index cannot be built (bad shapes, out-of-range parameters)."""
 
 
 def _inverse_permutation(cell_items: np.ndarray) -> np.ndarray:
@@ -131,7 +125,6 @@ class RetrievalIndex:
         cell_offsets: np.ndarray,
         cell_items: np.ndarray,
         nprobe: int,
-        seed: int = 0,
     ) -> None:
         centroids = np.ascontiguousarray(centroids, dtype=np.float64)
         cell_offsets = np.ascontiguousarray(cell_offsets, dtype=np.int64)
@@ -155,7 +148,6 @@ class RetrievalIndex:
         self.cell_items = cell_items
         self.cell_rows = cell_rows
         self.nprobe = min(int(nprobe), centroids.shape[0])
-        self.seed = int(seed)
         # (weak reference to the item-factor array, factor version, its rows
         # in cell order), swapped as one tuple so a reader never pairs one
         # key with another array's table.
@@ -220,7 +212,7 @@ class RetrievalIndex:
         cell_items = order.astype(np.int64)
         counts = np.bincount(assignment, minlength=num_cells)
         cell_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return cls(centroids, cell_offsets, cell_items, nprobe=int(nprobe), seed=seed)
+        return cls(centroids, cell_offsets, cell_items, nprobe=int(nprobe))
 
     @staticmethod
     def _nearest_cell(
@@ -254,17 +246,6 @@ class RetrievalIndex:
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
-
-    def params(self) -> Dict[str, Any]:
-        """JSON-serializable index parameters (stored in artifact headers)."""
-        return {
-            "kind": INDEX_KIND,
-            "num_cells": self.num_cells,
-            "num_items": self.num_items,
-            "dim": self.dim,
-            "nprobe": self.nprobe,
-            "seed": self.seed,
-        }
 
     # ------------------------------------------------------------------
     # Queries
@@ -340,51 +321,6 @@ class RetrievalIndex:
         """Drop the cached :meth:`cell_table`; the next use rebuilds it."""
         self._cell_table = None
 
-    # ------------------------------------------------------------------
-    # Persistence (arrays + params round-trip through repro.persist)
-    # ------------------------------------------------------------------
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The arrays an artifact stores under its ``index/`` prefix."""
-        return {
-            "centroids": self.centroids,
-            "cell_offsets": self.cell_offsets,
-            "cell_items": self.cell_items,
-        }
-
-    @classmethod
-    def from_state(cls, params: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> "RetrievalIndex":
-        """Rebuild an index from header params + stored arrays.
-
-        Raises :class:`RetrievalIndexError` for foreign kinds, missing
-        arrays, header parameters the arrays contradict, or ``cell_items``
-        that is not a permutation of the item IDs, so a stale or
-        hand-edited artifact fails loudly instead of serving a broken
-        shortlist.
-        """
-        kind = params.get("kind")
-        if kind != INDEX_KIND:
-            raise RetrievalIndexError(
-                f"artifact declares retrieval index kind {kind!r}; this library reads {INDEX_KIND!r}"
-            )
-        missing = {"centroids", "cell_offsets", "cell_items"} - set(arrays)
-        if missing:
-            raise RetrievalIndexError(f"retrieval index arrays missing from artifact: {sorted(missing)}")
-        index = cls(
-            arrays["centroids"],
-            arrays["cell_offsets"],
-            arrays["cell_items"],
-            nprobe=int(params.get("nprobe", 1)),
-            seed=int(params.get("seed", 0)),
-        )
-        for field in ("num_items", "num_cells", "dim"):
-            actual = getattr(index, field)
-            declared = int(params.get(field, actual))
-            if declared != actual:
-                raise RetrievalIndexError(
-                    f"artifact header declares {field}={declared} but the arrays hold {actual}"
-                )
-        return index
-
     def __repr__(self) -> str:
         return (
             f"RetrievalIndex(items={self.num_items}, cells={self.num_cells}, "
@@ -400,8 +336,7 @@ def build_index_for_model(
 ) -> Optional[RetrievalIndex]:
     """An IVF index over ``model``'s item factors, or ``None`` without factors.
 
-    The single entry point the catalog, the checkpoint publisher and tests
-    share: models that expose
+    The single entry point the catalog and tests share: models that expose
     :meth:`~repro.models.base.RecommenderModel.scoring_factors` get an
     index; everything else returns ``None`` (brute-force fallback).
     """

@@ -124,13 +124,8 @@ class ModelCheckpoint(Callback):
         ModelCheckpoint("best.npz", catalog_dir=fleet_dir,
                         on_publish=lambda path: catalog.reload(path.stem, force=True))
 
-    With ``publish_retrieval=True`` every saved artifact additionally
-    embeds a prebuilt :class:`~repro.serving.retrieval.RetrievalIndex`
-    over the model's item factors (``retrieval_num_cells`` /
-    ``retrieval_nprobe`` tune it; defaults scale with catalog size), so
-    the serving side cold-starts ANN retrieval without re-clustering.
-    Models whose score is not an inner product save without an index and
-    serve through the dense path — no configuration needed.
+    Artifacts carry model state only: a catalog serving with retrieval
+    builds each index from the served factors at cold start.
     """
 
     def __init__(
@@ -144,9 +139,6 @@ class ModelCheckpoint(Callback):
         catalog_dir: Optional[Union[str, Path]] = None,
         catalog_name: Optional[str] = None,
         on_publish: Optional[Callable[[Path], None]] = None,
-        publish_retrieval: bool = False,
-        retrieval_num_cells: Optional[int] = None,
-        retrieval_nprobe: Optional[int] = None,
     ) -> None:
         if period < 1:
             raise ValueError("period must be at least 1")
@@ -158,11 +150,6 @@ class ModelCheckpoint(Callback):
             raise ValueError("catalog_name without catalog_dir publishes nowhere; set catalog_dir")
         if on_publish is not None and catalog_dir is None:
             raise ValueError("on_publish without catalog_dir never fires; set catalog_dir")
-        if not publish_retrieval and (retrieval_num_cells is not None or retrieval_nprobe is not None):
-            raise ValueError(
-                "retrieval_num_cells/retrieval_nprobe tune the embedded index; "
-                "set publish_retrieval=True with them"
-            )
         self.path = Path(path)
         self.save_best_only = save_best_only
         self.period = period
@@ -172,9 +159,6 @@ class ModelCheckpoint(Callback):
         self.catalog_dir = None if catalog_dir is None else Path(catalog_dir)
         self.catalog_name = catalog_name
         self.on_publish = on_publish
-        self.publish_retrieval = publish_retrieval
-        self.retrieval_num_cells = retrieval_num_cells
-        self.retrieval_nprobe = retrieval_nprobe
         self._best_metric = -np.inf
         self.num_saves = 0
         self.num_publishes = 0
@@ -194,24 +178,12 @@ class ModelCheckpoint(Callback):
     def _save(self, trainer) -> None:
         from ..persist import copy_artifact, save_model
 
-        retrieval_index = None
-        if self.publish_retrieval:
-            from ..serving.retrieval import build_index_for_model
-
-            # None for non-inner-product models: the artifact then saves
-            # state-only and the serving side falls back to dense scoring.
-            retrieval_index = build_index_for_model(
-                trainer.model,
-                num_cells=self.retrieval_num_cells,
-                nprobe=self.retrieval_nprobe,
-            )
         save_model(
             trainer.model,
             self.path,
             dataset=self.dataset,
             settings=self.settings,
             model_name=self.model_name,
-            retrieval_index=retrieval_index,
         )
         self.num_saves += 1
         logger.debug("checkpoint artifact written to %s", self.path)

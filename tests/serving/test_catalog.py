@@ -313,23 +313,6 @@ class TestHotSwap:
         assert catalog.entry("mf").version == 2
         assert not np.array_equal(after.scores, before.scores)
 
-    def test_verify_content_off_trusts_stat_identity(self, catalog_dir, small_split):
-        catalog = ModelCatalog(catalog_dir, small_split.train, verify_content=False)
-        users = some_users(small_split)
-        path = catalog_dir / "mf.npz"
-        before = catalog.recommender("mf").recommend(users)
-        stat = os.stat(path)
-        replacement = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(79))
-        save_model(replacement, path)
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        # Documented blind spot of verify_content=False: stale results...
-        assert np.array_equal(catalog.recommender("mf").recommend(users).items, before.items)
-        assert catalog.entry("mf").version == 1
-        # ...until the escape hatch forces the reload.
-        assert catalog.reload("mf", force=True) == 2
-        after = catalog.recommender("mf").recommend(users)
-        assert not np.array_equal(after.scores, before.scores)
-
     def test_reload_scans_for_a_name_published_after_construction(
         self, catalog_dir, small_split, tmp_path
     ):

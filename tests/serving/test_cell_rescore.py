@@ -26,7 +26,6 @@ from repro.serving import (
     ModelCatalog,
     RetrievalIndex,
     RetrievalPolicy,
-    ServingGateway,
     TopKRecommender,
     build_index_for_model,
 )
@@ -303,25 +302,3 @@ def test_recommenders_over_one_resident_share_one_table(small_split, tmp_path):
     item_factors, version = cached.store.scoring_factors()[1], cached.store.model.factor_version
     table = cached.retriever.cell_table(item_factors, version)
     assert one_off.retriever.cell_table(item_factors, version) is table
-
-
-def test_an_embedded_index_of_another_width_is_rebuilt(small_split, tmp_path):
-    gbgcn = build_model("GBGCN", small_split.train, SETTINGS, rng=np.random.default_rng(0))
-    mf = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
-    # An MF index over the same items: the item count matches, the width does not.
-    foreign = build_index_for_model(mf, num_cells=6, nprobe=2, seed=42)
-    assert foreign.dim != gbgcn.scoring_factors()[1].shape[1]
-    save_model(gbgcn, tmp_path / "embedded" / "gbgcn.npz", retrieval_index=foreign)
-    save_model(gbgcn, tmp_path / "plain" / "gbgcn.npz")
-    policy = RetrievalPolicy(num_cells=6, nprobe=2, seed=0)
-    embedded = ModelCatalog(tmp_path / "embedded", small_split.train, retrieval=policy)
-    rebuilt = ModelCatalog(
-        tmp_path / "plain",
-        small_split.train,
-        retrieval=RetrievalPolicy(num_cells=6, nprobe=2, seed=0, prefer_artifact_index=False),
-    )
-    users = np.arange(small_split.train.num_users, dtype=np.int64)
-    served = ServingGateway(embedded, default_model="gbgcn").top_k(users, k=5).items
-    expected = ServingGateway(rebuilt, default_model="gbgcn").top_k(users, k=5).items
-    assert np.array_equal(served, expected)
-    assert embedded.retriever("gbgcn").seed == 0  # the policy's build, not the embedded 42

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.persist.index as persist_index
 from repro.persist import save_model
 from repro.serving.faults import (
     FaultPlan,
@@ -228,22 +229,29 @@ class TestScanRetries:
         save_model(build_model("MF", small_split.train), tmp_path / "mf.npz")
         return tmp_path
 
-    def test_transient_header_error_is_retried_to_success(self, tmp_path, small_split):
+    def test_transient_header_error_is_retried_to_success(
+        self, tmp_path, small_split, monkeypatch
+    ):
         from repro.persist import scan_artifact_directory
 
+        monkeypatch.setattr(persist_index, "SCAN_RETRY_BACKOFF_SECONDS", 0.001)
         directory = self._publish(tmp_path, small_split)
         plan = FaultPlan(
             [FaultRule("persist.read_header", error_type=OSError, error_message="EIO", count=1)]
         )
         with inject(plan):
-            scan = scan_artifact_directory(directory, retry_backoff_seconds=0.001)
+            scan = scan_artifact_directory(directory)
         assert sorted(scan.entries) == ["mf"], "one transient EIO must not drop the artifact"
         assert not scan.failures
         assert plan.total_triggered() == 1
 
-    def test_persistent_failure_surfaces_after_bounded_retries(self, tmp_path, small_split):
+    def test_persistent_failure_surfaces_after_bounded_retries(
+        self, tmp_path, small_split, monkeypatch
+    ):
         from repro.persist import scan_artifact_directory
 
+        monkeypatch.setattr(persist_index, "SCAN_RETRIES", 2)
+        monkeypatch.setattr(persist_index, "SCAN_RETRY_BACKOFF_SECONDS", 0.001)
         directory = self._publish(tmp_path, small_split)
         plan = FaultPlan(
             [
@@ -256,21 +264,22 @@ class TestScanRetries:
             ]
         )
         with inject(plan):
-            scan = scan_artifact_directory(directory, retries=2, retry_backoff_seconds=0.001)
+            scan = scan_artifact_directory(directory)
         assert "mf.npz" in scan.failures
         assert "disk on fire" in scan.failures["mf.npz"]
         # Bounded: 1 initial + 2 retries, never an unbounded loop.
         assert plan.calls["persist.read_header"] == 3
 
-    def test_zero_retries_fails_on_first_error(self, tmp_path, small_split):
+    def test_zero_retries_fails_on_first_error(self, tmp_path, small_split, monkeypatch):
         from repro.persist import scan_artifact_directory
 
+        monkeypatch.setattr(persist_index, "SCAN_RETRIES", 0)
         directory = self._publish(tmp_path, small_split)
         plan = FaultPlan(
             [FaultRule("persist.read_header", error_type=OSError, count=None)]
         )
         with inject(plan):
-            scan = scan_artifact_directory(directory, retries=0)
+            scan = scan_artifact_directory(directory)
         assert "mf.npz" in scan.failures
         assert plan.calls["persist.read_header"] == 1
 

@@ -1,11 +1,23 @@
 """IVF retrieval: index mechanics, recall-vs-exact parity, serving wiring."""
 
+import json
+import zipfile
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.models import ModelSettings, build_model
 from repro.models.registry import SERVABLE_MODEL_NAMES
-from repro.persist import DIR_SUFFIX, LAYOUT_DIR, read_retrieval_state, save_model
+from repro.persist import (
+    DIR_SUFFIX,
+    LAYOUT_DIR,
+    LAYOUT_NPZ,
+    load_model,
+    migrate_artifact,
+    read_artifact_header,
+    save_model,
+)
 from repro.serving import (
     EmbeddingStore,
     ModelCatalog,
@@ -72,32 +84,25 @@ class TestRetrievalIndex:
         with pytest.raises(RetrievalIndexError, match="nprobe"):
             index.shortlist(item_factors[:1], nprobe=0)
 
-    def test_state_roundtrip(self, item_factors):
+    def test_public_arrays_rebuild_the_same_index(self, item_factors):
         index = RetrievalIndex.build(item_factors, num_cells=16, nprobe=5, seed=9)
-        clone = RetrievalIndex.from_state(index.params(), index.state_arrays())
+        clone = RetrievalIndex(index.centroids, index.cell_offsets, index.cell_items, index.nprobe)
         assert clone.nprobe == 5
-        assert clone.seed == 9
-        assert np.array_equal(clone.centroids, index.centroids)
-        assert np.array_equal(clone.cell_items, index.cell_items)
+        assert np.array_equal(clone.cell_rows, index.cell_rows)
+        queries = item_factors[:4]
+        assert np.array_equal(clone.probe(queries), index.probe(queries))
+        for copied, built in zip(clone.shortlist(queries), index.shortlist(queries)):
+            assert np.array_equal(copied, built)
 
-    def test_from_state_rejects_foreign_kind(self, item_factors):
-        index = RetrievalIndex.build(item_factors, num_cells=8)
-        params = dict(index.params(), kind="hnsw/v9")
-        with pytest.raises(RetrievalIndexError, match="hnsw/v9"):
-            RetrievalIndex.from_state(params, index.state_arrays())
+    def test_nprobe_is_capped_at_the_cell_count(self, item_factors):
+        index = RetrievalIndex.build(item_factors, num_cells=8, seed=0)
+        capped = RetrievalIndex(index.centroids, index.cell_offsets, index.cell_items, nprobe=99)
+        assert capped.nprobe == 8
 
-    def test_from_state_rejects_missing_arrays(self, item_factors):
-        index = RetrievalIndex.build(item_factors, num_cells=8)
-        arrays = dict(index.state_arrays())
-        del arrays["centroids"]
-        with pytest.raises(RetrievalIndexError, match="centroids"):
-            RetrievalIndex.from_state(index.params(), arrays)
-
-    def test_from_state_rejects_item_count_mismatch(self, item_factors):
-        index = RetrievalIndex.build(item_factors, num_cells=8)
-        params = dict(index.params(), num_items=index.num_items + 1)
-        with pytest.raises(RetrievalIndexError, match="declares"):
-            RetrievalIndex.from_state(params, index.state_arrays())
+    def test_cell_table_rejects_factors_of_another_item_count(self, item_factors):
+        index = RetrievalIndex.build(item_factors, num_cells=8, seed=0)
+        with pytest.raises(RetrievalIndexError, match="hold 499 items but the index covers 500"):
+            index.cell_table(item_factors[:-1], version=0)
 
 
 def _reference_nearest_cell(points, centroids, block=16384):
@@ -189,43 +194,64 @@ class TestBuildMatchesReference:
 
 
 class TestRejectsCorruptIndexState:
-    """``from_state`` refuses arrays or headers that would serve wrong items."""
+    """The constructor refuses arrays that would serve wrong items."""
 
     @pytest.fixture()
-    def state(self):
-        index = RetrievalIndex.build(np.random.default_rng(0).normal(size=(20, 4)), num_cells=4)
-        return index.params(), index.state_arrays()
+    def index(self):
+        return RetrievalIndex.build(np.random.default_rng(0).normal(size=(20, 4)), num_cells=4)
 
     @staticmethod
-    def _with_item(arrays, old, new):
-        cell_items = arrays["cell_items"].copy()
+    def _with_item(index, old, new):
+        cell_items = index.cell_items.copy()
         cell_items[cell_items == old] = new
-        return dict(arrays, cell_items=cell_items)
+        return RetrievalIndex(index.centroids, index.cell_offsets, cell_items, index.nprobe)
 
-    def test_negative_alias_is_rejected(self, state):
-        params, arrays = state
+    def test_negative_alias_is_rejected(self, index):
         with pytest.raises(RetrievalIndexError, match="-16 outside range"):
-            RetrievalIndex.from_state(params, self._with_item(arrays, 4, -16))
+            self._with_item(index, 4, -16)
 
-    def test_out_of_range_id_is_rejected(self, state):
-        params, arrays = state
+    def test_out_of_range_id_is_rejected(self, index):
         with pytest.raises(RetrievalIndexError, match="20 outside range"):
-            RetrievalIndex.from_state(params, self._with_item(arrays, 4, 20))
+            self._with_item(index, 4, 20)
 
-    def test_duplicated_id_is_rejected(self, state):
-        params, arrays = state
+    def test_duplicated_id_is_rejected(self, index):
         with pytest.raises(RetrievalIndexError, match="repeats item ID 5"):
-            RetrievalIndex.from_state(params, self._with_item(arrays, 4, 5))
+            self._with_item(index, 4, 5)
 
-    def test_declared_dim_mismatch_is_rejected(self, state):
-        params, arrays = state
-        with pytest.raises(RetrievalIndexError, match="dim=5"):
-            RetrievalIndex.from_state(dict(params, dim=5), arrays)
+    def test_centroids_of_another_rank_are_rejected(self, index):
+        with pytest.raises(RetrievalIndexError, match="centroids must be 2-D"):
+            RetrievalIndex(index.centroids.ravel(), index.cell_offsets, index.cell_items, 1)
 
-    def test_declared_cell_count_mismatch_is_rejected(self, state):
-        params, arrays = state
-        with pytest.raises(RetrievalIndexError, match="num_cells=3"):
-            RetrievalIndex.from_state(dict(params, num_cells=3), arrays)
+    def test_offsets_for_another_cell_count_are_rejected(self, index):
+        # Centroids for three cells against the offsets of four.
+        with pytest.raises(RetrievalIndexError, match=r"num_cells \+ 1 = 4 entries"):
+            RetrievalIndex(index.centroids[:3], index.cell_offsets, index.cell_items, 1)
+
+    def test_offsets_that_miss_an_item_are_rejected(self, index):
+        # The offsets tile 20 items; a 21st would sit in no cell.
+        cell_items = np.append(index.cell_items, 20)
+        with pytest.raises(RetrievalIndexError, match="do not tile"):
+            RetrievalIndex(index.centroids, index.cell_offsets, cell_items, 1)
+
+    def test_offsets_not_starting_at_zero_are_rejected(self, index):
+        cell_offsets = index.cell_offsets.copy()
+        cell_offsets[0] = 1
+        with pytest.raises(RetrievalIndexError, match="do not tile"):
+            RetrievalIndex(index.centroids, cell_offsets, index.cell_items, 1)
+
+    def test_decreasing_offsets_are_rejected(self, index):
+        cell_offsets = np.array([0, 12, 8, 16, 20])
+        with pytest.raises(RetrievalIndexError, match="non-decreasing"):
+            RetrievalIndex(index.centroids, cell_offsets, index.cell_items, 1)
+
+    def test_cell_items_of_another_rank_are_rejected(self, index):
+        cell_items = index.cell_items.reshape(4, 5)
+        with pytest.raises(RetrievalIndexError, match="cell_items must be 1-D"):
+            RetrievalIndex(index.centroids, index.cell_offsets, cell_items, 1)
+
+    def test_non_positive_nprobe_is_rejected(self, index):
+        with pytest.raises(RetrievalIndexError, match="nprobe must be positive, got 0"):
+            RetrievalIndex(index.centroids, index.cell_offsets, index.cell_items, 0)
 
 
 def _recall_vs_exact(dense, approx, k=10):
@@ -341,6 +367,21 @@ class TestCatalogIntegration:
         assert result.items.shape == (4, 5)
         assert (result.for_request(0) >= 0).all()
 
+    def test_unbuildable_policy_fails_at_construction(self, fleet_dir, small_split):
+        num_items = small_split.train.num_items
+        for field_name in ("num_cells", "nprobe"):
+            with pytest.raises(ValueError, match=field_name):
+                RetrievalPolicy(**{field_name: 0})
+        too_many = RetrievalPolicy(num_cells=num_items + 1)
+        with pytest.raises(ValueError, match=f"num_cells={num_items + 1}"):
+            ModelCatalog(fleet_dir, small_split.train, retrieval=too_many)
+        # Below min_items no index is built, so the same cell count never runs.
+        skipped = RetrievalPolicy(num_cells=num_items + 1, min_items=num_items + 1)
+        assert ModelCatalog(fleet_dir, small_split.train, retrieval=skipped).retriever("mf") is None
+        one_per_item = RetrievalPolicy(num_cells=num_items)
+        catalog = ModelCatalog(fleet_dir, small_split.train, retrieval=one_per_item)
+        assert catalog.retriever("mf").num_cells == num_items
+
     def test_hot_swap_rebuilds_index(self, fleet_dir, small_split):
         catalog = ModelCatalog(
             fleet_dir, small_split.train, retrieval=RetrievalPolicy(num_cells=6, nprobe=6)
@@ -357,100 +398,153 @@ class TestCatalogIntegration:
         assert not np.array_equal(before.centroids, after.centroids)
 
 
-class TestArtifactEmbeddedIndex:
-    def test_roundtrip_through_artifact(self, small_split, tmp_path):
-        model = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
-        index = build_index_for_model(model, num_cells=6, nprobe=4, seed=11)
-        path = tmp_path / "mf.npz"
-        header = save_model(model, path, retrieval_index=index)
-        assert header.retrieval["num_cells"] == 6
-        params, arrays = read_retrieval_state(path)
-        restored = RetrievalIndex.from_state(params, arrays)
-        assert restored.seed == 11
-        assert np.array_equal(restored.centroids, index.centroids)
-        assert np.array_equal(restored.cell_items, index.cell_items)
+def _store_index_the_old_way(path, index, seed, cell_items=None, **declared_fields):
+    """Add ``index`` to the plain artifact at ``path`` the way earlier versions stored one.
 
-    def test_plain_artifact_has_no_index(self, small_split, tmp_path):
-        model = build_model("MF", small_split.train, SETTINGS)
-        path = tmp_path / "mf.npz"
-        save_model(model, path)
-        assert read_retrieval_state(path) is None
+    Three ``index/`` members, a header ``retrieval`` object declaring the
+    index and, in the ``dir`` layout, manifest entries for the new members.
+    ``cell_items`` replaces the stored member and ``declared_fields``
+    override the header's, so a test can store an index no model could use.
+    """
+    arrays = {
+        "index/centroids": index.centroids,
+        "index/cell_offsets": index.cell_offsets,
+        "index/cell_items": index.cell_items if cell_items is None else cell_items,
+    }
+    declared = {
+        "kind": "ivf-flat-ip/v1",
+        "num_cells": index.num_cells,
+        "num_items": index.num_items,
+        "dim": index.dim,
+        "nprobe": index.nprobe,
+        "seed": seed,
+        **declared_fields,
+    }
+    if path.is_dir():
+        header = path / "header.json"
+        payload = json.loads(header.read_text("utf-8"))
+        for key, array in arrays.items():
+            member = path / f"{key}.npy"
+            member.parent.mkdir(exist_ok=True)
+            np.save(member, array)
+            payload["members"][f"{key}.npy"] = {
+                "crc32": zlib.crc32(member.read_bytes()),
+                "size": member.stat().st_size,
+            }
+        payload["retrieval"] = declared
+        header.write_text(json.dumps(payload, sort_keys=True), "utf-8")
+        return
+    with np.load(path) as archive:
+        members = {key: archive[key] for key in archive.files}
+    payload = json.loads(bytes(members["__header__"]).decode("utf-8"))
+    payload["retrieval"] = declared
+    members["__header__"] = np.frombuffer(
+        json.dumps(payload, sort_keys=True).encode("utf-8"), dtype=np.uint8
+    )
+    np.savez(path, **members, **arrays)
 
-    def test_catalog_prefers_embedded_index(self, small_split, tmp_path):
-        directory = tmp_path / "fleet"
-        model = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
-        embedded = build_index_for_model(model, num_cells=4, nprobe=4, seed=42)
-        save_model(model, directory / "mf.npz", retrieval_index=embedded)
-        catalog = ModelCatalog(
-            directory, small_split.train, retrieval=RetrievalPolicy(num_cells=6, seed=0)
-        )
-        # The seed proves provenance: the policy would rebuild with seed=0,
-        # the artifact's sidecar was built with seed=42.
-        assert catalog.retriever("mf").seed == 42
-        assert catalog.retriever("mf").num_cells == 4
 
-    def test_policy_can_force_rebuild(self, small_split, tmp_path):
-        directory = tmp_path / "fleet"
-        model = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
-        embedded = build_index_for_model(model, num_cells=4, nprobe=4, seed=42)
-        save_model(model, directory / "mf.npz", retrieval_index=embedded)
-        catalog = ModelCatalog(
-            directory,
-            small_split.train,
-            retrieval=RetrievalPolicy(num_cells=6, seed=0, prefer_artifact_index=False),
-        )
-        assert catalog.retriever("mf").seed == 0
-        assert catalog.retriever("mf").num_cells == 6
+def _member_names(path):
+    if path.is_dir():
+        return [member.relative_to(path).as_posix() for member in path.rglob("*.npy")]
+    with zipfile.ZipFile(path) as archive:
+        return archive.namelist()
 
-    def test_catalog_rebuilds_an_index_that_aliases_an_item(self, small_split, tmp_path):
-        model = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
-        embedded = build_index_for_model(model, num_cells=4, nprobe=4, seed=42)
-        tampered = tmp_path / "tampered"
-        path = tampered / f"mf{DIR_SUFFIX}"
-        save_model(model, path, retrieval_index=embedded, layout=LAYOUT_DIR)
-        member = path / "index" / "cell_items.npy"
-        cell_items = np.load(member)
+
+def _header_fields(path):
+    """The artifact's header document as written, unknown fields included."""
+    if path.is_dir():
+        return json.loads((path / "header.json").read_text("utf-8"))
+    with np.load(path) as archive:
+        return json.loads(bytes(archive["__header__"]).decode("utf-8"))
+
+
+@pytest.mark.parametrize("layout", [LAYOUT_NPZ, LAYOUT_DIR])
+def test_a_saved_artifact_carries_no_index(small_split, tmp_path, layout):
+    model = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
+    path = tmp_path / f"mf{DIR_SUFFIX if layout == LAYOUT_DIR else '.npz'}"
+    save_model(model, path, layout=layout)
+    assert not any(name.startswith("index/") for name in _member_names(path))
+    assert "retrieval" not in _header_fields(path)
+
+
+@pytest.mark.parametrize("layout", [LAYOUT_NPZ, LAYOUT_DIR])
+def test_an_artifact_with_a_stored_index_serves_the_policys_index(small_split, tmp_path, layout):
+    model = build_model("GBGCN", small_split.train, SETTINGS, rng=np.random.default_rng(0))
+    suffix, other = (DIR_SUFFIX, LAYOUT_NPZ) if layout == LAYOUT_DIR else (".npz", LAYOUT_DIR)
+    old = tmp_path / "old" / f"gbgcn{suffix}"
+    save_model(model, old, layout=layout)
+    # Seeded unlike the policy and probed at fewer than all its cells, so
+    # serving it would change the lists.
+    stored = build_index_for_model(model, num_cells=4, nprobe=2, seed=42)
+    _store_index_the_old_way(old, stored, seed=42)
+    assert any(name.startswith("index/") for name in _member_names(old))
+    save_model(model, tmp_path / "plain" / f"gbgcn{suffix}", layout=layout)
+
+    assert read_artifact_header(old).model_name == "GBGCN"
+    loaded = load_model(old, small_split.train).state_arrays()
+    assert all(np.array_equal(loaded[key], value) for key, value in model.state_arrays().items())
+
+    policy = RetrievalPolicy(num_cells=6, nprobe=2, seed=0)
+    catalog = ModelCatalog(tmp_path / "old", small_split.train, retrieval=policy)
+    plain = ModelCatalog(tmp_path / "plain", small_split.train, retrieval=policy)
+    assert catalog.rejected == {} and catalog.names == ["gbgcn"]
+    users = np.arange(small_split.train.num_users, dtype=np.int64)
+    served = catalog.recommender("gbgcn").recommend(users)
+    expected = plain.recommender("gbgcn").recommend(users)
+    assert np.array_equal(served.items, expected.items)
+    assert np.array_equal(served.scores, expected.scores)
+
+    migrated = migrate_artifact(old, to_layout=other)
+    assert not any(name.startswith("index/") for name in _member_names(migrated))
+    assert "retrieval" not in _header_fields(migrated)
+
+
+#: The ways a stored index could disagree with the model saved beside it.
+#: Each once needed its own fallback in the catalog; a reader that reads
+#: only ``state/`` serves the policy's index whatever the group holds.
+STORED_INDEX_FAULTS = ["another-width", "aliased-item", "foreign-kind", "contradicting-header"]
+
+
+@pytest.mark.parametrize("fault", STORED_INDEX_FAULTS)
+@pytest.mark.parametrize("layout", [LAYOUT_NPZ, LAYOUT_DIR])
+def test_a_stored_index_the_model_cannot_use_never_reaches_serving(
+    small_split, tmp_path, layout, fault
+):
+    model = build_model("GBGCN", small_split.train, SETTINGS, rng=np.random.default_rng(0))
+    suffix = DIR_SUFFIX if layout == LAYOUT_DIR else ".npz"
+    old = tmp_path / "old" / f"gbgcn{suffix}"
+    save_model(model, old, layout=layout)
+    save_model(model, tmp_path / "plain" / f"gbgcn{suffix}", layout=layout)
+    stored = build_index_for_model(model, num_cells=4, nprobe=2, seed=42)
+    cell_items, declared_fields = None, {}
+    if fault == "another-width":
+        # An MF index over the same items: the item count matches, the width does not.
+        mf = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
+        stored = build_index_for_model(mf, num_cells=4, nprobe=2, seed=42)
+        assert stored.dim != model.scoring_factors()[1].shape[1]
+    elif fault == "aliased-item":
         # numpy's wrap-around indexing would score the alias as item 4 and
         # serve the negative ID.
+        cell_items = stored.cell_items.copy()
         cell_items[cell_items == 4] = 4 - model.num_items
-        member.unlink()
-        np.save(member, cell_items)
-        plain = tmp_path / "plain"
-        save_model(model, plain / "mf.npz")
-        policy = RetrievalPolicy(num_cells=4, nprobe=4, seed=0)
-        catalog = ModelCatalog(tampered, small_split.train, retrieval=policy)
-        fresh = ModelCatalog(plain, small_split.train, retrieval=policy)
-        # The seed proves provenance: 42 is the embedded index, 0 the policy's build.
-        assert catalog.retriever("mf").seed == 0
-        assert np.array_equal(catalog.retriever("mf").cell_items, fresh.retriever("mf").cell_items)
-        users = np.arange(small_split.train.num_users, dtype=np.int64)
-        served = ServingGateway(catalog, default_model="mf").top_k(users, k=5).items
-        assert (served >= 0).all()
-        expected = ServingGateway(fresh, default_model="mf").top_k(users, k=5).items
-        assert np.array_equal(served, expected)
-
-    def test_checkpoint_publishes_retrieval_index(self, small_split, tmp_path):
-        from repro.training.callbacks import ModelCheckpoint
-
-        model = build_model("MF", small_split.train, SETTINGS, rng=np.random.default_rng(0))
-        checkpoint = ModelCheckpoint(
-            tmp_path / "best.npz",
-            save_best_only=False,
-            publish_retrieval=True,
-            retrieval_num_cells=4,
+    elif fault == "foreign-kind":
+        declared_fields["kind"] = "hnsw/v9"
+    else:
+        declared_fields.update(
+            num_cells=stored.num_cells + 1, num_items=stored.num_items + 1, dim=stored.dim + 1
         )
+    _store_index_the_old_way(old, stored, seed=42, cell_items=cell_items, **declared_fields)
 
-        class _Trainer:
-            pass
-
-        trainer = _Trainer()
-        trainer.model = model
-        checkpoint._save(trainer)
-        params, _ = read_retrieval_state(tmp_path / "best.npz")
-        assert params["num_cells"] == 4
-
-    def test_checkpoint_retrieval_knobs_need_opt_in(self, tmp_path):
-        from repro.training.callbacks import ModelCheckpoint
-
-        with pytest.raises(ValueError, match="publish_retrieval"):
-            ModelCheckpoint(tmp_path / "best.npz", retrieval_num_cells=4)
+    policy = RetrievalPolicy(num_cells=6, nprobe=2, seed=0)
+    catalog = ModelCatalog(tmp_path / "old", small_split.train, retrieval=policy)
+    plain = ModelCatalog(tmp_path / "plain", small_split.train, retrieval=policy)
+    assert catalog.rejected == {}
+    users = np.arange(small_split.train.num_users, dtype=np.int64)
+    served = ServingGateway(catalog, default_model="gbgcn").top_k(users, k=5)
+    expected = ServingGateway(plain, default_model="gbgcn").top_k(users, k=5)
+    assert np.array_equal(served.items, expected.items)
+    assert np.array_equal(served.scores, expected.scores)
+    assert np.array_equal(
+        catalog.retriever("gbgcn").cell_items, plain.retriever("gbgcn").cell_items
+    )
