@@ -45,16 +45,20 @@ def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
     and the negative branch ``exp(c) / (1 + exp(c))`` both only evaluate
     ``exp`` at ``-|c| = -min(|x|, 60)``, so one ``exp`` feeds both branches
     with bit-for-bit the same results as computing them separately.  The
-    chain reuses one scratch array and writes the negative branch with a
-    masked divide — this is the hottest elementwise kernel in cross-view
-    propagation, called on full embedding tables every batch.
+    chain reuses two scratch arrays: each branch is divided in place and
+    the positive one is copied over the negative one where ``x >= 0`` (NaN
+    takes the negative branch) — this is the hottest elementwise kernel in
+    cross-view propagation, called on full embedding tables every batch.
     """
     magnitude = np.abs(values)
     np.minimum(magnitude, 60.0, out=magnitude)
     np.negative(magnitude, out=magnitude)
     decay = np.exp(magnitude, out=magnitude)
     denominator = decay + 1.0
-    return np.where(values >= 0, 1.0 / denominator, decay / denominator)
+    np.divide(decay, denominator, out=decay)
+    np.divide(1.0, denominator, out=denominator)
+    np.copyto(decay, denominator, where=values >= 0)
+    return decay
 
 
 def sigmoid(x: Tensor) -> Tensor:

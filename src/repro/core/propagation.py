@@ -208,12 +208,17 @@ class CrossViewPropagation(Module):
             self.transform_up_ui(shared_to_message)
         )
 
-        # Eq. 5: initiator-view items hear from initiator-view users.
-        user_message_i = sparse_matmul(
-            maybe_rows(self._init_item_from_user, restrict_items, item_rows),
-            in_view.user_initiator,
+        # Eq. 5: initiator-view items hear from initiator-view users.  The
+        # item-sized messages of Eq. 5 and 7 are passed straight to their
+        # transform, so no-grad scoring frees each before the next is made.
+        item_initiator = activation(
+            self.transform_ui_vi(
+                sparse_matmul(
+                    maybe_rows(self._init_item_from_user, restrict_items, item_rows),
+                    in_view.user_initiator,
+                )
+            )
         )
-        item_initiator = activation(self.transform_ui_vi(user_message_i))
 
         # Eq. 6: participant-view users hear from their items and from the
         # initiator-view embeddings of users who shared to them.
@@ -224,11 +229,14 @@ class CrossViewPropagation(Module):
         )
 
         # Eq. 7: participant-view items hear from participant-view users.
-        user_message_p = sparse_matmul(
-            maybe_rows(self._part_item_from_user, restrict_items, item_rows),
-            in_view.user_participant,
+        item_participant = activation(
+            self.transform_up_vp(
+                sparse_matmul(
+                    maybe_rows(self._part_item_from_user, restrict_items, item_rows),
+                    in_view.user_participant,
+                )
+            )
         )
-        item_participant = activation(self.transform_up_vp(user_message_p))
 
         stage = ViewEmbeddings(user_initiator, item_initiator, user_participant, item_participant).pooled(
             self.share_user_roles, self.share_item_roles

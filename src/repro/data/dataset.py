@@ -85,9 +85,19 @@ class GroupBuyingDataset:
         self._validate()
         self._friends_cache: Optional[List[np.ndarray]] = None
         self._social_matrix_cache: Optional[sp.csr_matrix] = None
-        #: Filled lazily by :func:`repro.persist.fingerprint.dataset_fingerprint`;
-        #: safe to cache because behaviors/edges are immutable tuples.
+        #: Filled lazily by :func:`repro.persist.fingerprint.dataset_fingerprint`
+        #: and :func:`repro.graph.build_hetero_graph`; safe to cache because
+        #: behaviors/edges are immutable tuples.
         self._fingerprint_cache: Optional[Dict[str, object]] = None
+        self._hetero_graph_cache = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The cached graph is derived state: it would grow the pickle about
+        # fivefold, and what a spawned worker receives would depend on what
+        # the sending process happened to build.  A receiver builds its own.
+        state = self.__dict__.copy()
+        state["_hetero_graph_cache"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Validation and construction helpers

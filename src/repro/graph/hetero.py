@@ -76,7 +76,18 @@ class HeteroGroupBuyingGraph:
 
 
 def build_hetero_graph(dataset: GroupBuyingDataset) -> HeteroGroupBuyingGraph:
-    """Construct ``{G_i, G_p, G_s}`` and ``S`` from (training) behaviors."""
+    """Construct ``{G_i, G_p, G_s}`` and ``S`` from (training) behaviors.
+
+    Built once per dataset instance and cached on it (datasets are
+    immutable; splits and ``with_behaviors`` make new instances), so every
+    model, load and training run over one dataset shares one graph with its
+    row-normalised propagation matrices and their cached CSR transposes.
+    Those matrices are read-only for every caller.  Two first calls racing
+    on one dataset may both build; the graphs are equal.
+    """
+    cached = getattr(dataset, "_hetero_graph_cache", None)
+    if cached is not None:
+        return cached
     initiator_pairs = dataset.initiator_item_pairs()
     participant_pairs = dataset.participant_item_pairs()
 
@@ -86,9 +97,11 @@ def build_hetero_graph(dataset: GroupBuyingDataset) -> HeteroGroupBuyingGraph:
 
     friendship_edges = [edge.as_tuple() for edge in dataset.social_edges]
 
-    return HeteroGroupBuyingGraph(
+    graph = HeteroGroupBuyingGraph(
         initiator_view=BipartiteGraph(initiator_pairs, dataset.num_users, dataset.num_items),
         participant_view=BipartiteGraph(participant_pairs, dataset.num_users, dataset.num_items),
         sharing=SharingGraph(sharing_edges, dataset.num_users),
         friendship=FriendshipGraph(friendship_edges, dataset.num_users),
     )
+    dataset._hetero_graph_cache = graph
+    return graph

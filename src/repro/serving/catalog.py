@@ -29,7 +29,7 @@ behind one object pointed at a directory of ``repro.persist`` artifacts:
   entry carries a load lock so two threads racing on the same cold model
   perform exactly one cold start (the loser waits and reuses the winner's
   resident).  Model loads and propagation run *outside* the catalog lock,
-  so one model's 60 ms cold start never blocks another model's requests;
+  so one model's cold start never blocks another model's requests;
 * **observability** — lifecycle counters (:attr:`stats`) plus a per-model
   :class:`~repro.serving.metrics.MetricsRegistry` (:attr:`metrics`)
   recording cold-start latency histograms, reloads and evictions.
@@ -776,14 +776,22 @@ class ModelCatalog:
             raise CatalogError(
                 f"artifact for {name!r} became unloadable during cold start: {error}"
             ) from error
-        store = EmbeddingStore(model)
-        store.refresh()
-        # Retrieval-index and cell-table construction are part of the cold
-        # start: they run here, outside the catalog lock (and off the
-        # request path when a CatalogWarmer drives warming), and a hot-swap
-        # reload — which is a new cold start — therefore rebuilds both for
-        # the new bytes.
-        retriever = self._build_retriever(store)
+        try:
+            store = EmbeddingStore(model)
+            store.refresh()
+            # Retrieval-index and cell-table construction are part of the
+            # cold start: they run here, outside the catalog lock (and off
+            # the request path when a CatalogWarmer drives warming), and a
+            # hot-swap reload — which is a new cold start — therefore
+            # rebuilds both for the new bytes.
+            retriever = self._build_retriever(store)
+        except Exception as error:
+            # The artifact loaded, so the entry stays; the failure is typed
+            # and counted so a circuit breaker stops the retries.
+            self.metrics.record(name, "errors")
+            raise CatalogError(
+                f"cold start of {name!r} failed after loading its artifact: {error!r}"
+            ) from error
         seconds = time.perf_counter() - started
         with self._lock:
             entry = self.entries.get(name)

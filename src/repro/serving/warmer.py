@@ -2,8 +2,9 @@
 
 A lazily-loading :class:`~repro.serving.catalog.ModelCatalog` makes the
 *first* request after a cold start or a hot-swap pay the full model load
-(~60 ms for GBGCN at the repo's 2000-user scale) — a tail-latency cliff
-under live traffic.  The warmer moves that work onto a background thread:
+and propagation (~27 ms for GBGCN at the repo's 2000-user scale) — a
+tail-latency cliff under live traffic.  The warmer moves that work onto a
+background thread:
 
 * **periodic rescan** — every cycle re-indexes the artifact directory
   (:meth:`ModelCatalog.scan`), picking up newly published, replaced

@@ -36,6 +36,17 @@ class TestActivations:
         x = make((3, 4), 1)
         check_gradients(lambda: sigmoid(x).sum(), {"x": x})
 
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 5.0, 30.0, 100.0])
+    def test_sigmoid_bytes_equal_the_two_branch_form(self, scale):
+        # Each branch is one IEEE division of the shared exp(-min(|x|, 60)),
+        # whichever arrays hold it; NaN takes the negative branch.
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 60.0, -60.0, 60.1, -60.1,
+                   700.0, -700.0, np.inf, -np.inf, np.nan]
+        values = np.concatenate([special, np.random.default_rng(7).normal(scale=scale, size=4096)])
+        decay = np.exp(-np.minimum(np.abs(values), 60.0))
+        expected = np.where(values >= 0, 1.0 / (decay + 1.0), decay / (decay + 1.0))
+        assert sigmoid(Tensor(values)).data.tobytes() == expected.tobytes()
+
     def test_log_sigmoid_matches_log_of_sigmoid(self):
         x = make((5,), 2)
         assert np.allclose(log_sigmoid(x).data, np.log(sigmoid(x).data))

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from repro.data import BeibeiLikeConfig, generate_dataset, leave_one_out_split
+from repro.graph import BipartiteGraph, FriendshipGraph, SharingGraph, build_hetero_graph
 from repro.models import ModelSettings, build_model
-from repro.persist import save_model
+from repro.persist import load_model, save_model
 from repro.serving import (
     CatalogError,
+    CircuitOpenError,
     EmbeddingStore,
     ModelCatalog,
+    ResiliencePolicy,
+    RetrievalPolicy,
+    ServingGateway,
     TopKRecommender,
     UnknownCatalogModelError,
 )
@@ -358,6 +363,76 @@ class TestHotSwap:
             catalog.store("mf")
         assert "mf" not in catalog
         assert "mf" not in catalog.resident_names
+
+
+class TestColdStartAfterLoadFails:
+    """A failure after ``load_model`` (factors, index) is typed, counted and breakable."""
+
+    @pytest.fixture()
+    def failing_index(self, monkeypatch):
+        import repro.persist as persist
+        import repro.serving.catalog as catalog_module
+
+        loads = []
+        real_load = persist.load_model
+
+        def counting_load(path, dataset):
+            loads.append(path)
+            return real_load(path, dataset)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("no room for the index")
+
+        monkeypatch.setattr(persist, "load_model", counting_load)
+        monkeypatch.setattr(catalog_module, "build_index_for_model", no_memory)
+        return loads
+
+    def test_the_error_is_typed_counted_and_keeps_the_entry(self, catalog_dir, small_split, failing_index):
+        catalog = ModelCatalog(catalog_dir, small_split.train, retrieval=RetrievalPolicy(num_cells=4, nprobe=2))
+        with pytest.raises(CatalogError, match="no room for the index") as raised:
+            catalog.store("gbgcn")
+        assert isinstance(raised.value.__cause__, MemoryError)
+        assert catalog.metrics.snapshot()["models"]["gbgcn"]["errors"] == 1
+        assert catalog.resident_names == []
+        assert catalog.stats.cold_starts == 0
+        assert "gbgcn" in catalog and catalog.rejected == {}
+
+    def test_an_open_breaker_stops_the_reloads(self, catalog_dir, small_split, failing_index):
+        catalog = ModelCatalog(catalog_dir, small_split.train, retrieval=RetrievalPolicy(num_cells=4, nprobe=2))
+        gateway = ServingGateway(catalog, policy=ResiliencePolicy(breaker_failure_threshold=3))
+        for call in range(5):
+            with pytest.raises(CircuitOpenError):
+                gateway.top_k(np.asarray([0]), model="gbgcn")
+            assert len(failing_index) == min(call + 1, 3)
+        assert catalog.metrics.snapshot()["models"]["gbgcn"]["breaker_opens"] == 1
+
+
+class TestSharedGraph:
+    def test_gbgcn_residents_share_the_datasets_graph(self, catalog, catalog_dir, small_split):
+        graph = build_hetero_graph(catalog.train_dataset)
+        assert catalog.store("gbgcn").model.graph is graph
+        pretrain = catalog.store("gbgcn-pretrain").model
+        assert pretrain._social_normalized is graph.friendship.normalized()
+
+        replacement = build_model("GBGCN", small_split.train, SETTINGS, rng=np.random.default_rng(31))
+        save_model(replacement, catalog_dir / "gbgcn.npz")
+        swapped = catalog.store("gbgcn")
+        assert catalog.entry("gbgcn").version == 2
+        assert swapped.model.graph is graph
+
+    def test_loads_after_the_first_build_no_graph(self, catalog_dir, small_split, monkeypatch):
+        load_model(catalog_dir / "gbgcn.npz", small_split.train)
+        built = []
+        for graph_class in (BipartiteGraph, SharingGraph, FriendshipGraph):
+
+            def counting_init(self, *args, _init=graph_class.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(graph_class, "__init__", counting_init)
+        for stem in ("gbgcn", "gbgcn-pretrain", "gbgcn"):
+            load_model(catalog_dir / f"{stem}.npz", small_split.train)
+        assert built == []
 
 
 class TestMetricsIntegration:
