@@ -15,10 +15,14 @@ for the serving path (the training trajectory lives in
 * **metrics overhead** — the same grouped stream against a catalog with
   metrics collection enabled vs ``MetricsRegistry(enabled=False)``; the
   recorded overhead must stay a small fraction of grouped throughput;
-* **warm vs cold request latency** — p50/p95/p99 of single-user requests
-  against a warm (resident, ``CatalogWarmer``-maintained) catalog vs
-  requests that pay the cold start in-line — the tail-latency cliff the
-  background warmer exists to remove.
+* **warm vs cold request latency** — wall time of single-user
+  ``ServingGateway.top_k`` calls against a warm (resident,
+  ``CatalogWarmer``-maintained) catalog vs calls that pay the cold start
+  in-line — the tail-latency cliff the background warmer exists to
+  remove.  The gateway's own ``request_latency`` times only the score
+  call, so both paths are timed around the whole call.
+
+Every section records the host it was measured on (``host_block()``).
 
 The grouped path must beat per-request serving by a wide margin; the
 asserted floor (3x) is far below typical measurements so the test only
@@ -47,7 +51,7 @@ from repro.serving import (
     TrafficModel,
 )
 
-from _bench import SERVING_SCHEMA, write_sections
+from _bench import SERVING_SCHEMA, host_block, write_sections
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
@@ -59,6 +63,10 @@ EMBEDDING_DIM = 16
 TOP_K = 10
 REQUEST_BATCH = 256
 NUM_MIXED_REQUESTS = 4096
+# Enough warm requests that the warm p99 has ten samples beyond it; 24
+# cold starts are too few for a p99, so the cold side reports p50 and max.
+NUM_WARM_REQUESTS = 1000
+NUM_COLD_REQUESTS = 24
 
 CATALOG_MODELS = {"gbgcn": "GBGCN", "gbgcn-pretrain": "GBGCN-pretrain", "mf": "MF"}
 SPLIT_WEIGHTS = {"gbgcn": 0.6, "gbgcn-pretrain": 0.2, "mf": 0.2}
@@ -278,46 +286,50 @@ def test_metrics_collection_overhead(catalog_setup):
 def test_warm_vs_cold_request_latency(catalog_setup):
     """The tail-latency cliff the background warmer removes, quantified."""
     directory, split = catalog_setup
-    catalog = ModelCatalog(directory, split.train)
-    gateway = ServingGateway(catalog)
     rng = np.random.default_rng(9)
-    users = rng.integers(0, NUM_USERS, size=256).astype(np.int64)
+    users = rng.integers(0, NUM_USERS, size=NUM_WARM_REQUESTS).astype(np.int64)
+
+    def timed_top_k(gateway, user):
+        started = time.perf_counter()
+        gateway.top_k(np.asarray([user]), k=TOP_K, model="gbgcn")
+        return (time.perf_counter() - started) * 1000.0
 
     # Warm path: residency maintained off-request by a warmer cycle.
-    warmer = CatalogWarmer(catalog)
-    warmer.run_once()
-    for user in users:
-        gateway.top_k(np.asarray([user]), k=TOP_K, model="gbgcn")
-    warm = catalog.metrics.snapshot()["models"]["gbgcn"]["request_latency"]
+    catalog = ModelCatalog(directory, split.train)
+    gateway = ServingGateway(catalog)
+    CatalogWarmer(catalog).run_once()
+    warm_ms = np.asarray([timed_top_k(gateway, user) for user in users])
 
-    # Cold path: every request pays the artifact load + propagation in-line
+    # Cold path: every request pays the artifact load + refresh in-line
     # (what serving without the warmer risks after every hot-swap/eviction).
-    cold_metrics = MetricsRegistry()
-    cold_catalog = ModelCatalog(directory, split.train, metrics=cold_metrics)
+    cold_catalog = ModelCatalog(directory, split.train)
     cold_gateway = ServingGateway(cold_catalog)
-    for user in users[:24]:
+    cold_ms = []
+    for user in users[:NUM_COLD_REQUESTS]:
         cold_catalog.evict("gbgcn")
-        cold_gateway.top_k(np.asarray([user]), k=TOP_K, model="gbgcn")
-    cold = cold_metrics.snapshot()["models"]["gbgcn"]["request_latency"]
+        cold_ms.append(timed_top_k(cold_gateway, user))
+    cold_ms = np.asarray(cold_ms)
+    assert cold_catalog.metrics.snapshot()["models"]["gbgcn"]["cold_starts"] == NUM_COLD_REQUESTS
 
+    warm_p50, warm_p95, warm_p99 = np.percentile(warm_ms, [50, 95, 99])
+    cold_p50 = float(np.median(cold_ms))
     print(
-        f"\nBENCH warm vs cold p99: {warm['p99'] * 1000:.2f} ms warm vs "
-        f"{cold['p99'] * 1000:.2f} ms cold "
-        f"({cold['p99'] / max(warm['p99'], 1e-9):.0f}x cliff removed by the warmer)"
+        f"\nBENCH warm vs cold: warm p99 {warm_p99:.2f} ms vs cold p50 {cold_p50:.2f} ms "
+        f"({cold_p50 / max(warm_p99, 1e-9):.0f}x cliff removed by the warmer)"
     )
     _RESULTS["warm_vs_cold_latency"] = {
         "model": "gbgcn",
-        "warm_requests": warm["count"],
-        "cold_requests": cold["count"],
-        "warm_p50_ms": round(warm["p50"] * 1000, 3),
-        "warm_p95_ms": round(warm["p95"] * 1000, 3),
-        "warm_p99_ms": round(warm["p99"] * 1000, 3),
-        "cold_p50_ms": round(cold["p50"] * 1000, 3),
-        "cold_p95_ms": round(cold["p95"] * 1000, 3),
-        "cold_p99_ms": round(cold["p99"] * 1000, 3),
+        "clock": "wall time of ServingGateway.top_k",
+        "warm_requests": int(warm_ms.size),
+        "cold_requests": int(cold_ms.size),
+        "warm_p50_ms": round(float(warm_p50), 3),
+        "warm_p95_ms": round(float(warm_p95), 3),
+        "warm_p99_ms": round(float(warm_p99), 3),
+        "cold_p50_ms": round(cold_p50, 3),
+        "cold_max_ms": round(float(cold_ms.max()), 3),
     }
-    # A warm request must be far below the cold-start cliff.
-    assert warm["p99"] < cold["p99"]
+    # Even the warm tail must sit below a typical cold start.
+    assert warm_p99 < cold_p50
 
 
 @pytest.mark.slow
@@ -334,4 +346,6 @@ def test_write_bench_serving_json():
         "embedding_dim": EMBEDDING_DIM,
         "catalog_models": CATALOG_MODELS,
     }
-    write_sections(OUTPUT_PATH, SERVING_SCHEMA, _RESULTS, config=config)
+    host = host_block()
+    sections = {name: {**section, "host": host} for name, section in _RESULTS.items()}
+    write_sections(OUTPUT_PATH, SERVING_SCHEMA, sections, config=config)

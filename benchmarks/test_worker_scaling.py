@@ -12,9 +12,15 @@ same dir-layout (mmap-backed) artifacts, under two request profiles:
   processes, so this curve must scale: the 4-worker point is gated at
   >= 1.5x the 1-worker point regardless of core count.
 
+Each point also records what one worker costs: ``start_s``, the wall
+time of ``WorkerPool.start()`` (the faster of the point's two pools), and
+the largest worker ``VmRSS`` and ``RssAnon`` after warm-up, read from
+``/proc/<pid>/status`` of this process's ``spawn_main`` children.
+
 Results land in ``BENCH_serving.json`` under ``results.worker_scaling``
-(schema ``repro-serving-bench/v6``), alongside the single-process
-serving and retrieval sections.  Slow-gated: ``REPRO_RUN_SLOW=1``.
+(schema ``repro-serving-bench/v6``) with the host they were measured on,
+alongside the single-process serving and retrieval sections.
+Slow-gated: ``REPRO_RUN_SLOW=1``.
 """
 
 import os
@@ -30,7 +36,7 @@ from repro.models import ModelSettings, build_model
 from repro.persist import LAYOUT_DIR, save_model
 from repro.serving import WorkerPool
 
-from _bench import SERVING_SCHEMA, write_sections
+from _bench import SERVING_SCHEMA, host_block, write_sections
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
@@ -91,10 +97,29 @@ def _request_batches(split, count):
     ]
 
 
+def _worker_memory_mib():
+    """Largest ``VmRSS`` and ``RssAnon`` (MiB) over this process's spawn workers."""
+    largest = {"VmRSS": 0.0, "RssAnon": 0.0}
+    workers = 0
+    for status_path in Path("/proc").glob("[0-9]*/status"):
+        try:
+            status = status_path.read_text()
+            cmdline = (status_path.parent / "cmdline").read_bytes()
+        except OSError:  # the process ended while we looked
+            continue
+        fields = dict(line.split(":", 1) for line in status.splitlines() if ":" in line)
+        if int(fields["PPid"]) != os.getpid() or b"spawn_main" not in cmdline:
+            continue
+        workers += 1
+        for key in largest:
+            largest[key] = max(largest[key], int(fields[key].split()[0]) / 1024.0)
+    return workers, largest["VmRSS"], largest["RssAnon"]
+
+
 def _measure(directory, split, workers, simulate_io_seconds):
-    """req/s plus fleet latency percentiles for one (workers, profile) point."""
+    """req/s, fleet latency, start time and worker memory for one (workers, profile) point."""
     batches = _request_batches(split, NUM_REQUESTS)
-    with WorkerPool(
+    pool = WorkerPool(
         directory,
         split.train,
         workers=workers,
@@ -102,12 +127,20 @@ def _measure(directory, split, workers, simulate_io_seconds):
         default_k=TOP_K,
         request_timeout=120.0,
         simulate_io_seconds=simulate_io_seconds,
-    ) as pool:
+    )
+    started = time.perf_counter()
+    pool.start()
+    start_s = time.perf_counter() - started
+    try:
         pool.top_k_many(batches[:WARMUP_REQUESTS])
+        found, vmrss_mib, rss_anon_mib = _worker_memory_mib()
         start = time.perf_counter()
         results = pool.top_k_many(batches)
         elapsed = time.perf_counter() - start
         fleet = pool.fleet_metrics()
+    finally:
+        pool.stop()
+    assert found == workers, f"found {found} spawn workers, expected {workers}"
     assert len(results) == NUM_REQUESTS
     latency = fleet["totals"]["request_latency"]
     return {
@@ -115,6 +148,9 @@ def _measure(directory, split, workers, simulate_io_seconds):
         "elapsed_s": elapsed,
         "fleet_p50_ms": latency["p50"] * 1000.0,
         "fleet_p99_ms": latency["p99"] * 1000.0,
+        "start_s": start_s,
+        "worker_vmrss_mib": vmrss_mib,
+        "worker_rss_anon_mib": rss_anon_mib,
     }
 
 
@@ -130,11 +166,19 @@ def test_worker_scaling_point(pool_setup, workers):
         "io_stall_req_s": io_stall["req_s"],
         "io_stall_fleet_p50_ms": io_stall["fleet_p50_ms"],
         "io_stall_fleet_p99_ms": io_stall["fleet_p99_ms"],
+        "start_s": min(cpu_bound["start_s"], io_stall["start_s"]),
+        "worker_vmrss_mib": max(cpu_bound["worker_vmrss_mib"], io_stall["worker_vmrss_mib"]),
+        "worker_rss_anon_mib": max(
+            cpu_bound["worker_rss_anon_mib"], io_stall["worker_rss_anon_mib"]
+        ),
     }
+    point = _RESULTS[workers]
     print(
         f"\nworkers={workers}: cpu-bound {cpu_bound['req_s']:.1f} req/s, "
         f"io-stall {io_stall['req_s']:.1f} req/s "
-        f"(p50 {io_stall['fleet_p50_ms']:.2f} ms, p99 {io_stall['fleet_p99_ms']:.2f} ms)"
+        f"(p50 {io_stall['fleet_p50_ms']:.2f} ms, p99 {io_stall['fleet_p99_ms']:.2f} ms); "
+        f"start {point['start_s']:.2f} s, worker RSS {point['worker_vmrss_mib']:.1f} MiB "
+        f"({point['worker_rss_anon_mib']:.1f} MiB anonymous)"
     )
 
 
@@ -165,6 +209,7 @@ def test_write_worker_scaling_into_bench_json(pool_setup):
         point["io_stall_speedup_vs_1"] = point["io_stall_req_s"] / base
         point["cpu_bound_speedup_vs_1"] = point["cpu_bound_req_s"] / cpu_base
     worker_scaling = {
+        "host": host_block(),
         "cpus": os.cpu_count(),
         "io_stall_ms": IO_STALL_SECONDS * 1000.0,
         "embedding_dim": EMBEDDING_DIM,

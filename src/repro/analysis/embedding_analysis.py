@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import stats
 
 from ..autograd import cosine_similarity, no_grad
 from ..core.gbgcn import GBGCN
@@ -57,6 +56,8 @@ class SimilarityDistribution:
             density = np.zeros_like(x)
             density[np.argmin(np.abs(x - center))] = 1.0
             return {"x": x, "density": density}
+        from scipy import stats  # on call only, as in repro.eval.significance
+
         kde = stats.gaussian_kde(values)
         x = np.linspace(low, high, grid_points)
         return {"x": x, "density": kde(x)}

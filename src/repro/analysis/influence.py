@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..data.dataset import GroupBuyingDataset
 from ..utils.tables import format_table
@@ -113,6 +112,8 @@ def analyze_social_influence(dataset: GroupBuyingDataset, min_launched: int = 1)
     degrees = np.array([record.num_friends for record in per_initiator], dtype=np.float64)
     success_rates = np.array([record.success_rate for record in per_initiator], dtype=np.float64)
     if np.ptp(degrees) > 0 and np.ptp(success_rates) > 0:
+        from scipy import stats  # on call only, as in repro.eval.significance
+
         correlation, p_value = stats.spearmanr(degrees, success_rates)
     else:
         correlation, p_value = 0.0, 1.0

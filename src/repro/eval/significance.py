@@ -3,6 +3,11 @@
 The paper reports that GBGCN's improvement over the best baseline is
 significant with p < 0.05; this module provides the paired t-test and the
 Wilcoxon signed-rank test over per-user metric values.
+
+Both tests import ``scipy.stats`` when called, not at module level: every
+process that imports ``repro`` (spawn workers, benchmark runs) would
+otherwise load it, about 0.6 s and 50 MiB, for tests only reports run
+(``tests/test_import_closure.py``).
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["SignificanceResult", "paired_t_test", "wilcoxon_test", "improvement"]
 
@@ -41,6 +45,8 @@ def _validate(sample_a: np.ndarray, sample_b: np.ndarray) -> Tuple[np.ndarray, n
 
 def paired_t_test(sample_a: np.ndarray, sample_b: np.ndarray) -> SignificanceResult:
     """Paired t-test of per-user metric values of two models."""
+    from scipy import stats
+
     sample_a, sample_b = _validate(sample_a, sample_b)
     statistic, p_value = stats.ttest_rel(sample_a, sample_b)
     if np.isnan(p_value):
@@ -55,6 +61,8 @@ def wilcoxon_test(sample_a: np.ndarray, sample_b: np.ndarray) -> SignificanceRes
     differences = sample_a - sample_b
     if np.allclose(differences, 0.0):
         return SignificanceResult(statistic=0.0, p_value=1.0)
+    from scipy import stats
+
     statistic, p_value = stats.wilcoxon(sample_a, sample_b)
     return SignificanceResult(statistic=float(statistic), p_value=float(p_value))
 

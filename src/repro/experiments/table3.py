@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..eval.metrics import ndcg_at_k, recall_at_k
 from ..eval.protocol import EvaluationResult
 from ..eval.significance import improvement, paired_t_test
 from ..models.registry import MODEL_NAMES, build_model
@@ -36,6 +37,9 @@ METRIC_COLUMNS = (
     "NDCG@10",
     "NDCG@20",
 )
+
+#: Per-user score of each metric family, for the paired significance test.
+_PER_USER_METRICS = {"Recall": recall_at_k, "NDCG": ndcg_at_k}
 
 #: The numbers reported in the paper's Table III (Beibei dataset).
 PAPER_TABLE3: Dict[str, Dict[str, float]] = {
@@ -83,15 +87,21 @@ class Table3Result:
         return output
 
     def significance_p_value(self, metric: str = "NDCG@10") -> Optional[float]:
-        """Paired t-test p-value of GBGCN vs. the best baseline (if ranks stored)."""
+        """Paired t-test p-value of GBGCN vs. the best baseline (if ranks stored).
+
+        Each user is scored with ``metric`` itself: ``Recall@k`` from
+        :func:`recall_at_k`, ``NDCG@k`` from :func:`ndcg_at_k`.
+        """
+        name, _, cutoff = metric.partition("@")
+        per_user = _PER_USER_METRICS.get(name)
+        if per_user is None or not cutoff.isdigit():
+            raise ValueError(f"no per-user score for metric {metric!r}; expected Recall@k or NDCG@k")
         best = self.best_baseline(metric)
         if "GBGCN" not in self.per_user_ranks or best not in self.per_user_ranks:
             return None
-        from ..eval.metrics import ndcg_at_k
-
-        cutoff = int(metric.split("@")[1])
-        gbgcn = np.asarray([ndcg_at_k(rank, cutoff) for rank in self.per_user_ranks["GBGCN"]])
-        baseline = np.asarray([ndcg_at_k(rank, cutoff) for rank in self.per_user_ranks[best]])
+        k = int(cutoff)
+        gbgcn = np.asarray([per_user(rank, k) for rank in self.per_user_ranks["GBGCN"]])
+        baseline = np.asarray([per_user(rank, k) for rank in self.per_user_ranks[best]])
         return paired_t_test(gbgcn, baseline).p_value
 
     def format(self) -> str:

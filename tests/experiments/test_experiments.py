@@ -9,6 +9,7 @@ from repro.experiments import (
     PAPER_TABLE3,
     PAPER_TABLE4,
     PAPER_TABLE5,
+    Table3Result,
     prepare_workload,
     run_figure5,
     run_figure6,
@@ -64,6 +65,23 @@ class TestTable3:
         assert isinstance(result.improvements()["NDCG@10"], float)
         p_value = result.significance_p_value("NDCG@10")
         assert p_value is None or 0.0 <= p_value <= 1.0
+
+    def test_p_value_scores_users_with_the_named_metric(self):
+        # Every rank falls inside the top 10 at a different position: each
+        # user's Recall@10 is 1 for both models, while NDCG@10 tells them apart.
+        gbgcn_ranks = np.array([0, 1, 0, 2, 0, 1, 0, 3, 1, 0, 2, 0])
+        baseline_ranks = np.array([5, 7, 6, 9, 8, 5, 7, 6, 9, 8, 4, 6])
+        result = Table3Result(
+            metrics={
+                "GBGCN": {"Recall@10": 1.0, "NDCG@10": 0.8},
+                "MF": {"Recall@10": 1.0, "NDCG@10": 0.3},
+            },
+            per_user_ranks={"GBGCN": gbgcn_ranks, "MF": baseline_ranks},
+        )
+        assert result.significance_p_value("Recall@10") == 1.0
+        assert result.significance_p_value("NDCG@10") < 0.05
+        with pytest.raises(ValueError, match="HR@10"):
+            result.significance_p_value("HR@10")
 
     def test_paper_reference_shape(self):
         # In the paper GBGCN wins every metric and GBMF is the best baseline.

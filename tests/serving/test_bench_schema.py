@@ -65,9 +65,28 @@ def test_scaling_curve_shape(bench):
         assert REQUIRED_POINT_KEYS <= set(point), f"point {point['num_items']} missing keys"
 
 
-def test_retrieval_scaling_records_its_host(bench):
-    host = bench["results"]["retrieval_scaling"]["host"]
+@pytest.mark.parametrize(
+    "section",
+    [
+        "retrieval_scaling",
+        "cold_start",
+        "mixed_traffic",
+        "gateway_metrics",
+        "metrics_overhead",
+        "warm_vs_cold_latency",
+    ],
+)
+def test_section_records_its_host(bench, section):
+    host = bench["results"][section]["host"]
     assert {"nproc", "python", "numpy", "scipy", "git_sha"} <= set(host)
+
+
+def test_warm_vs_cold_compares_cold_starts(bench):
+    # Timed around the whole gateway call, a cold request pays the load
+    # and refresh; even the warm tail sits below its median.
+    section = bench["results"]["warm_vs_cold_latency"]
+    assert section["warm_requests"] >= 1000, "too few warm requests for a p99"
+    assert section["warm_p99_ms"] < section["cold_p50_ms"] <= section["cold_max_ms"]
 
 
 def test_recall_gate_held_at_every_scale(bench):
