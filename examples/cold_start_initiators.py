@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core import GBGCNConfig
 from repro.data import BeibeiLikeConfig, generate_dataset, leave_one_out_split
-from repro.eval import LeaveOneOutEvaluator, rank_of_positive, recall_at_k
+from repro.eval import LeaveOneOutEvaluator, recall_at_k
 from repro.models import build_model, ModelSettings
 from repro.training import TrainingSettings, train_gbgcn_with_pretraining, train_model
 from repro.utils import configure_logging, format_table
@@ -34,17 +34,12 @@ TINY = os.environ.get("REPRO_EXAMPLE_SCALE", "").lower() == "tiny"
 
 def per_segment_recall(model, split, evaluator, segments: Dict[str, List[int]], k: int = 10) -> Dict[str, float]:
     """Recall@k of ``model`` separately for each user segment."""
-    model.prepare_for_evaluation()
-    output: Dict[str, float] = {}
-    for segment, users in segments.items():
-        hits = []
-        for user in users:
-            behavior = split.test[user]
-            candidates = evaluator.candidate_sampler.candidates_for(user, behavior.item)
-            rank = rank_of_positive(model.rank_scores(user, candidates))
-            hits.append(recall_at_k(rank, k))
-        output[segment] = float(np.mean(hits)) if hits else 0.0
-    return output
+    # The evaluator's ranks follow the test users in sorted order.
+    ranks = dict(zip(sorted(split.test), evaluator.evaluate_test(model).ranks))
+    return {
+        segment: float(np.mean([recall_at_k(ranks[user], k) for user in users])) if users else 0.0
+        for segment, users in segments.items()
+    }
 
 
 def main() -> None:

@@ -22,12 +22,15 @@ Design notes
 * Broadcasting is supported for elementwise arithmetic; gradients are
   "unbroadcast" (summed over broadcast axes) before accumulation.
 * Gradient tracking can be suspended with the :func:`no_grad` context
-  manager, which the evaluation code uses to keep scoring cheap.
+  manager, which the evaluation code uses to keep scoring cheap.  Grad
+  mode is per thread, as in PyTorch: a serving thread refreshing factors
+  under ``no_grad`` never switches recording off for a thread that trains.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,24 +40,30 @@ from .sparse_grad import RowSparseGrad, sparse_grads_enabled
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """The calling thread's grad mode; every thread starts with it on."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph recording inside its block."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables graph recording inside its block,
+    on the calling thread only."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    """Return whether operations on the calling thread record the autograd graph."""
+    return _GRAD_MODE.enabled
 
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
@@ -109,7 +118,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
         self.grad: Optional[Union[np.ndarray, RowSparseGrad]] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
@@ -174,7 +183,7 @@ class Tensor:
     ) -> "Tensor":
         """Create a result tensor, wiring it into the graph if needed."""
         parents = tuple(parents)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(p for p in parents if p.requires_grad)

@@ -26,9 +26,10 @@ def observed_item_matrix(
     """Boolean ``users x items`` membership matrix over an interaction dict.
 
     The shared building block for every vectorized observed-item lookup:
-    batch negative sampling, the batched full-ranking evaluator's exclusion
-    mask, and the serving layer's already-bought filter all read this
-    matrix's rows (the latter two through :func:`observed_positions`)
+    batch negative sampling builds one over its own interaction sets, and
+    :meth:`GroupBuyingDataset.observed_matrix` builds the one per dataset
+    whose rows the evaluator's candidate rule and the serving layer's
+    already-bought filter read (through :func:`observed_positions`)
     instead of testing per-user Python sets.
     """
     rows = []
@@ -85,6 +86,7 @@ class GroupBuyingDataset:
         self._validate()
         self._friends_cache: Optional[List[np.ndarray]] = None
         self._social_matrix_cache: Optional[sp.csr_matrix] = None
+        self._observed_matrix_cache: Optional[sp.csr_matrix] = None
         #: Filled lazily by :func:`repro.persist.fingerprint.dataset_fingerprint`
         #: and :func:`repro.graph.build_hetero_graph`; safe to cache because
         #: behaviors/edges are immutable tuples.
@@ -92,11 +94,13 @@ class GroupBuyingDataset:
         self._hetero_graph_cache = None
 
     def __getstate__(self) -> Dict[str, object]:
-        # The cached graph is derived state: it would grow the pickle about
-        # fivefold, and what a spawned worker receives would depend on what
-        # the sending process happened to build.  A receiver builds its own.
+        # The cached graph and observed matrix are derived state: the graph
+        # would grow the pickle about fivefold, and what a spawned worker
+        # receives would depend on what the sending process happened to
+        # build.  A receiver builds its own.
         state = self.__dict__.copy()
         state["_hetero_graph_cache"] = None
+        state["_observed_matrix_cache"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -214,6 +218,20 @@ class GroupBuyingDataset:
                 for participant in behavior.participants:
                     interactions.setdefault(participant, set()).add(behavior.item)
         return interactions
+
+    def observed_matrix(self) -> sp.csr_matrix:
+        """Boolean ``P x Q`` CSR of the items each user initiated or joined (cached).
+
+        The one observed-item matrix per dataset: the evaluator's candidate
+        rule and every serving recommender over this dataset read it.
+        Canonical, with no stored zeros.  Read it, never write it.  Two
+        first calls racing may both build; the matrices are equal.
+        """
+        if self._observed_matrix_cache is None:
+            self._observed_matrix_cache = observed_item_matrix(
+                self.user_item_set(include_participants=True), self.num_users, self.num_items
+            )
+        return self._observed_matrix_cache
 
     def items_of_initiator(self, user: int) -> Set[int]:
         """Items the user interacted with as an initiator."""

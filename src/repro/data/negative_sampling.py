@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Set
 import numpy as np
 
 from ..utils.rng import make_rng
-from .dataset import GroupBuyingDataset, observed_item_matrix
+from .dataset import GroupBuyingDataset, observed_item_matrix, observed_positions
 
 __all__ = ["TrainingNegativeSampler", "EvaluationCandidateSampler"]
 
@@ -121,20 +121,15 @@ class EvaluationCandidateSampler:
 
     Candidate lists are sampled once (per seed) and cached so that every
     model is evaluated against exactly the same ranking task, as the paper
-    requires for a fair comparison.
+    requires for a fair comparison.  Negatives avoid every item the user
+    initiated or joined (:meth:`GroupBuyingDataset.observed_matrix`).
     """
 
-    def __init__(
-        self,
-        dataset: GroupBuyingDataset,
-        num_negatives: int = 999,
-        seed: int = 0,
-        include_participants: bool = True,
-    ) -> None:
+    def __init__(self, dataset: GroupBuyingDataset, num_negatives: int = 999, seed: int = 0) -> None:
         self.dataset = dataset
         self.num_negatives = num_negatives
         self.seed = seed
-        self._interactions = dataset.user_item_set(include_participants=include_participants)
+        self._observed = dataset.observed_matrix()
         self._cache: Dict[int, np.ndarray] = {}
 
     def candidates_for(self, user: int, positive_item: int) -> np.ndarray:
@@ -142,9 +137,8 @@ class EvaluationCandidateSampler:
         key = user
         if key not in self._cache:
             rng = make_rng((self.seed, user))
-            observed = self._interactions.get(user, set())
-            observed_array = np.fromiter(observed, dtype=np.int64, count=len(observed))
-            available = self.dataset.num_items - len(observed)
+            observed_array = observed_positions(self._observed, np.asarray([user]))[1]
+            available = self.dataset.num_items - observed_array.size
             count = min(self.num_negatives, max(available - 1, 0))
             negatives = np.zeros(0, dtype=np.int64)
             while negatives.size < count:

@@ -7,8 +7,7 @@ from .metrics import (
     recall_at_k,
     reciprocal_rank,
 )
-from .protocol import EvaluationResult, LeaveOneOutEvaluator
-from .full_ranking import FullRankingEvaluator
+from .protocol import EvaluationResult, FullRankingEvaluator, LeaveOneOutEvaluator
 from .significance import SignificanceResult, improvement, paired_t_test, wilcoxon_test
 from .timing import TimingResult, measure_time_efficiency
 from .bootstrap import ConfidenceInterval, bootstrap_confidence_interval, bootstrap_metric_table

@@ -9,12 +9,13 @@ the top K" (0/1) and NDCG@K to ``1 / log2(rank + 2)`` if it is, 0 otherwise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "rank_of_positive",
+    "ranks_of_positives",
     "recall_at_k",
     "ndcg_at_k",
     "reciprocal_rank",
@@ -29,10 +30,30 @@ def rank_of_positive(scores: np.ndarray, positive_index: int = 0) -> int:
     avoids over-crediting degenerate constant scorers.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    positive_score = scores[positive_index]
-    better = np.sum(scores > positive_score)
-    ties = np.sum(scores == positive_score) - 1
-    return int(better + ties)
+    return int(ranks_of_positives(scores[None, :], np.asarray([positive_index]))[0])
+
+
+def ranks_of_positives(
+    scores: np.ndarray,
+    positives: np.ndarray,
+    excluded: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
+    """:func:`rank_of_positive` of every row of a ``(users, candidates)`` block.
+
+    ``positives[r]`` is row ``r``'s positive column.  ``excluded`` holds
+    ``(rows, columns)`` of candidates left out of the ranking, as
+    :func:`~repro.data.dataset.observed_positions` returns them; a pair
+    naming its row's positive is ignored, so the positive always ranks.
+    """
+    rows = np.arange(scores.shape[0])
+    # A candidate outranks the positive when it scores at least as high
+    # (pessimistic ties); the positive ties with itself, hence the -1.
+    outranks = scores >= scores[rows, positives][:, None]
+    if excluded is not None:
+        excluded_rows, excluded_columns = excluded
+        others = excluded_columns != positives[excluded_rows]
+        outranks[excluded_rows[others], excluded_columns[others]] = False
+    return np.count_nonzero(outranks, axis=1) - 1
 
 
 def recall_at_k(rank: int, k: int) -> float:
@@ -79,27 +100,23 @@ class MetricAccumulator:
 
     def results(self) -> Dict[str, float]:
         """Averaged ``Recall@K`` / ``NDCG@K`` / ``MRR`` over recorded users."""
+        names = [f"{family}@{k}" for family in ("Recall", "NDCG") for k in self.cutoffs] + ["MRR"]
         if not self.ranks:
-            return {f"Recall@{k}": 0.0 for k in self.cutoffs} | {f"NDCG@{k}": 0.0 for k in self.cutoffs} | {"MRR": 0.0}
-        ranks = np.asarray(self.ranks)
-        output: Dict[str, float] = {}
-        for k in self.cutoffs:
-            output[f"Recall@{k}"] = float(np.mean([recall_at_k(rank, k) for rank in ranks]))
-        for k in self.cutoffs:
-            output[f"NDCG@{k}"] = float(np.mean([ndcg_at_k(rank, k) for rank in ranks]))
-        output["MRR"] = float(np.mean([reciprocal_rank(rank) for rank in ranks]))
-        return output
+            return dict.fromkeys(names, 0.0)
+        return {name: float(np.mean(self.per_user_metric(name))) for name in names}
 
     def per_user_metric(self, metric: str) -> np.ndarray:
-        """Per-user values of one metric (used by the significance tests)."""
-        if not self.ranks:
-            return np.zeros(0)
+        """Per-user values of ``Recall@k``, ``NDCG@k`` or ``MRR``.
+
+        The samples the paired significance tests compare, one per
+        recorded rank, in recording order.
+        """
         name, _, cutoff = metric.partition("@")
-        ranks = np.asarray(self.ranks)
-        if name.lower() == "recall":
-            return np.asarray([recall_at_k(rank, int(cutoff)) for rank in ranks])
-        if name.lower() == "ndcg":
-            return np.asarray([ndcg_at_k(rank, int(cutoff)) for rank in ranks])
+        at_k = {"recall": recall_at_k, "ndcg": ndcg_at_k}.get(name.lower())
         if name.lower() == "mrr":
-            return np.asarray([reciprocal_rank(rank) for rank in ranks])
-        raise ValueError(f"unknown metric '{metric}'")
+            values = [reciprocal_rank(rank) for rank in self.ranks]
+        elif at_k is not None and cutoff.isdigit():
+            values = [at_k(rank, int(cutoff)) for rank in self.ranks]
+        else:
+            raise ValueError(f"unknown metric {metric!r}; expected Recall@k, NDCG@k or MRR")
+        return np.asarray(values, dtype=np.float64)

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..eval.metrics import ndcg_at_k, recall_at_k
+from ..eval.metrics import MetricAccumulator
 from ..eval.protocol import EvaluationResult
 from ..eval.significance import improvement, paired_t_test
 from ..models.registry import MODEL_NAMES, build_model
@@ -37,9 +37,6 @@ METRIC_COLUMNS = (
     "NDCG@10",
     "NDCG@20",
 )
-
-#: Per-user score of each metric family, for the paired significance test.
-_PER_USER_METRICS = {"Recall": recall_at_k, "NDCG": ndcg_at_k}
 
 #: The numbers reported in the paper's Table III (Beibei dataset).
 PAPER_TABLE3: Dict[str, Dict[str, float]] = {
@@ -89,20 +86,18 @@ class Table3Result:
     def significance_p_value(self, metric: str = "NDCG@10") -> Optional[float]:
         """Paired t-test p-value of GBGCN vs. the best baseline (if ranks stored).
 
-        Each user is scored with ``metric`` itself: ``Recall@k`` from
-        :func:`recall_at_k`, ``NDCG@k`` from :func:`ndcg_at_k`.
+        Each user is scored with ``metric`` itself, by
+        :meth:`MetricAccumulator.per_user_metric`, which rejects any metric
+        but ``Recall@k``, ``NDCG@k`` and ``MRR``.
         """
-        name, _, cutoff = metric.partition("@")
-        per_user = _PER_USER_METRICS.get(name)
-        if per_user is None or not cutoff.isdigit():
-            raise ValueError(f"no per-user score for metric {metric!r}; expected Recall@k or NDCG@k")
+        per_user = {
+            name: MetricAccumulator(ranks=list(ranks)).per_user_metric(metric)
+            for name, ranks in self.per_user_ranks.items()
+        }
         best = self.best_baseline(metric)
-        if "GBGCN" not in self.per_user_ranks or best not in self.per_user_ranks:
+        if "GBGCN" not in per_user or best not in per_user:
             return None
-        k = int(cutoff)
-        gbgcn = np.asarray([per_user(rank, k) for rank in self.per_user_ranks["GBGCN"]])
-        baseline = np.asarray([per_user(rank, k) for rank in self.per_user_ranks[best]])
-        return paired_t_test(gbgcn, baseline).p_value
+        return paired_t_test(per_user["GBGCN"], per_user[best]).p_value
 
     def format(self) -> str:
         """The Table III layout: one row per method, plus the improvement row."""

@@ -16,6 +16,7 @@ from ..eval.timing import TimingResult, measure_time_efficiency
 from ..models.registry import MODEL_NAMES, build_model
 from ..optim import Adam
 from ..training.factory import build_batch_iterator
+from ..training.trainer import Trainer
 from ..utils.logging import get_logger
 from ..utils.tables import format_table
 from .config import ExperimentConfig, ExperimentWorkload, prepare_workload
@@ -85,10 +86,8 @@ def run_table4(
             batch_size=settings.training.batch_size,
             seed=settings.training.seed,
         )
-        optimizer = Adam(model.parameters(), lr=settings.training.learning_rate)
-        timings[name] = measure_time_efficiency(
-            model, optimizer, iterator, workload.evaluator, num_epochs=num_epochs
-        )
+        trainer = Trainer(model, Adam(model.parameters(), lr=settings.training.learning_rate), iterator)
+        timings[name] = measure_time_efficiency(trainer, workload.evaluator, num_epochs=num_epochs)
     return Table4Result(timings=timings)
 
 

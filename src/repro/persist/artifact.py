@@ -50,6 +50,7 @@ import json
 import os
 import re
 import shutil
+import threading
 import time
 import zipfile
 import zlib
@@ -127,6 +128,21 @@ TMP_SWEEP_MAX_AGE_SECONDS = 3600.0
 
 _HEADER_KEY = "__header__"
 _STATE_PREFIX = "state/"
+
+#: Held by every ``.npy`` read of this module.  numpy parses each array
+#: header with ``ast.literal_eval``, and CPython 3.11 checks the AST
+#: converter's recursion depth against one counter per interpreter: when a
+#: finalizer the garbage collector runs mid-parse switches threads, a
+#: second thread's parse moves that counter and the first raises
+#: ``SystemError: AST constructor recursion depth mismatch``.
+_NPY_READ_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    # A fork waits for any read in flight, so no child inherits the lock held.
+    os.register_at_fork(
+        before=_NPY_READ_LOCK.acquire,
+        after_in_parent=_NPY_READ_LOCK.release,
+        after_in_child=_NPY_READ_LOCK.release,
+    )
 
 
 @dataclass
@@ -695,7 +711,8 @@ class _NpzReader(_Reader):
 
     def __enter__(self) -> "_NpzReader":
         try:
-            archive = np.load(self.path, allow_pickle=False)
+            with _NPY_READ_LOCK:
+                archive = np.load(self.path, allow_pickle=False)
         except FileNotFoundError as error:
             raise ArtifactFormatError(
                 f"artifact does not exist (vanished, or never written): {self.path}"
@@ -723,7 +740,8 @@ class _NpzReader(_Reader):
                 f"it was not written by repro.persist.save_model"
             )
         try:
-            header_bytes = bytes(np.asarray(self._archive[_HEADER_KEY], dtype=np.uint8))
+            with _NPY_READ_LOCK:
+                header_bytes = bytes(np.asarray(self._archive[_HEADER_KEY], dtype=np.uint8))
         except (zipfile.BadZipFile, OSError, ValueError, TypeError) as error:
             raise ArtifactFormatError(
                 f"artifact header of {self.path} is unreadable: {error}"
@@ -740,11 +758,12 @@ class _NpzReader(_Reader):
         """Every array of ``group``; zip members cannot be mapped, so ``mmap_mode`` is moot."""
         prefix = group + "/"
         try:
-            return {
-                key[len(prefix):]: self._archive[key]
-                for key in self._archive.files
-                if key.startswith(prefix)
-            }
+            with _NPY_READ_LOCK:
+                return {
+                    key[len(prefix):]: self._archive[key]
+                    for key in self._archive.files
+                    if key.startswith(prefix)
+                }
         except (zipfile.BadZipFile, OSError, ValueError) as error:
             raise ArtifactFormatError(
                 f"artifact {self.path} has an unreadable {group} array: {error}"
@@ -804,7 +823,8 @@ class _DirReader(_Reader):
                 continue
             key = member.relative_to(root).as_posix()[: -len(".npy")]
             try:
-                arrays[key] = np.load(member, mmap_mode=mmap_mode, allow_pickle=False)
+                with _NPY_READ_LOCK:
+                    arrays[key] = np.load(member, mmap_mode=mmap_mode, allow_pickle=False)
             except (OSError, ValueError) as error:
                 raise ArtifactFormatError(
                     f"artifact {self.path} has an unreadable {group} array {member.name}: {error}"

@@ -79,9 +79,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-import scipy.sparse as sp
-
-from ..data.dataset import GroupBuyingDataset, observed_item_matrix
+from ..data.dataset import GroupBuyingDataset
 from ..persist.errors import ArtifactError
 from ..persist.fingerprint import dataset_fingerprint, fingerprint_mismatch
 from ..persist.index import (
@@ -312,17 +310,16 @@ class ModelCatalog:
         self.stats = CatalogStats()
         # Lock hierarchy (acquire outer before inner, never the reverse):
         #   entry.load_lock  →  self._lock  →  MetricsRegistry._lock
-        # self._lock guards entries/rejected/_residents/stats/_observed and
+        # self._lock guards entries/rejected/_residents/stats and
         # is held only for in-memory bookkeeping plus cheap freshness IO
         # (stat + content-token read), never for a model load.
         self._lock = threading.RLock()
         self._residents: "OrderedDict[str, _Resident]" = OrderedDict()
-        # Built eagerly: the serving dataset is fixed for the catalog's
-        # lifetime, and building it lazily would put an O(dataset) scan
-        # inside the catalog lock on the first request.
-        self._observed: Optional[sp.csr_matrix] = (
-            self._build_observed_matrix() if exclude_observed else None
-        )
+        if exclude_observed:
+            # Built eagerly: the serving dataset is fixed for the catalog's
+            # lifetime, and its observed matrix built lazily would put an
+            # O(dataset) scan inside the catalog lock on the first request.
+            self.serving_dataset.observed_matrix()
         # A fork()ed child inherits this catalog with whatever locks some
         # other thread held mid-fork; re-initialize them there (forksafe
         # module docstring has the full story).
@@ -549,8 +546,8 @@ class ModelCatalog:
     ) -> TopKRecommender:
         """A ready top-k recommender for ``name`` (built once per residency).
 
-        The recommender shares the catalog-wide observed-item matrix, so
-        loading the tenth model costs one model load, not one model load
+        The recommender shares the serving dataset's observed-item matrix,
+        so loading the tenth model costs one model load, not one model load
         plus one interaction-matrix rebuild.  The cached recommender always
         carries the catalog's ``default_k``; passing ``k`` returns a one-off
         recommender with that default (sharing the same store and matrix)
@@ -584,7 +581,6 @@ class ModelCatalog:
             k=k,
             exclude_observed=self.exclude_observed,
             dataset=self.serving_dataset if self.exclude_observed else None,
-            observed_matrix=self._observed_matrix() if self.exclude_observed else None,
             retriever=retriever,
         )
 
@@ -678,7 +674,6 @@ class ModelCatalog:
             self._evict_locked(entry.name)
             self.entries.pop(entry.name, None)
             self.rejected[entry.path.name] = reason
-            self.metrics.record(entry.name, "errors")
             raise CatalogError(f"hot-swapped artifact is not servable: {reason}")
         return info
 
@@ -686,7 +681,6 @@ class ModelCatalog:
         """Drop a disappeared entry and raise (lock held)."""
         self._evict_locked(entry.name)
         self.entries.pop(entry.name, None)
-        self.metrics.record(entry.name, "errors")
         raise CatalogError(
             f"artifact file for {entry.name!r} disappeared: {entry.path} "
             f"(entry dropped; re-publish the artifact or rescan)"
@@ -765,7 +759,6 @@ class ModelCatalog:
             with self._lock:
                 self._evict_locked(name)
                 self.entries.pop(name, None)
-                self.metrics.record(name, "errors")
                 if path.exists():
                     self.rejected[path.name] = f"{path}: {error}"
             if not path.exists():
@@ -786,9 +779,8 @@ class ModelCatalog:
             # rebuilds both for the new bytes.
             retriever = self._build_retriever(store)
         except Exception as error:
-            # The artifact loaded, so the entry stays; the failure is typed
-            # and counted so a circuit breaker stops the retries.
-            self.metrics.record(name, "errors")
+            # The artifact loaded, so the entry stays; the failure is typed,
+            # so a circuit breaker stops the retries.
             raise CatalogError(
                 f"cold start of {name!r} failed after loading its artifact: {error!r}"
             ) from error
@@ -831,17 +823,6 @@ class ModelCatalog:
         while len(self._residents) > self.resident_budget:
             victim = next(name for name in self._residents if name != keep)
             self._evict_locked(victim)
-
-    def _build_observed_matrix(self) -> sp.csr_matrix:
-        dataset = self.serving_dataset
-        return observed_item_matrix(
-            dataset.user_item_set(include_participants=True),
-            dataset.num_users,
-            dataset.num_items,
-        )
-
-    def _observed_matrix(self) -> sp.csr_matrix:
-        return self._observed
 
     def __repr__(self) -> str:
         budget = "unbounded" if self.resident_budget is None else str(self.resident_budget)

@@ -205,6 +205,9 @@ class ServingGateway:
     evictions together.  Per-model ``rows_served`` is the tally A/B
     analysis reads.  ``request_latency`` times the score call alone, with
     or without a policy; a cold start lands in ``cold_start_latency``.
+    ``errors`` is the gateway's: one per request that fails on a model
+    fault or an unavailable model, none for a request a fallback serves;
+    the catalog raises typed errors and counts none.
     """
 
     def __init__(

@@ -305,7 +305,8 @@ class MetricsRegistry:
         """Add one to model ``name``'s ``counter`` (one of :data:`COUNTERS`).
 
         The counter-only events: ``reloads`` and ``evictions`` (catalog),
-        ``errors``, ``sheds``, ``deadline_exceeded``, ``breaker_opens``
+        ``errors`` (gateway: one per failed request), ``sheds``,
+        ``deadline_exceeded``, ``breaker_opens``
         (counted against the model whose breaker tripped) and
         ``fallbacks_served`` (counted against the model that needed
         rescuing).  An unknown counter raises ``ValueError``.

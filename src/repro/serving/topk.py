@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..data.dataset import GroupBuyingDataset, observed_item_matrix, observed_positions
+from ..data.dataset import GroupBuyingDataset, observed_positions
 from .errors import ServingError, validate_user_ids
 from .retrieval import RetrievalIndex
 from .store import EmbeddingStore
@@ -50,9 +50,10 @@ def _truthy_entries(observed: sp.spmatrix) -> sp.csr_matrix:
     The exclusion mask reads only the CSR structure, so an explicit zero
     (a stored ``False``) or duplicates summing to zero would otherwise mask
     an item that ``observed.toarray()`` leaves unmasked.  A matrix that is
-    already canonical with no stored zeros is returned as is (the catalog
-    shares one across models); anything else is fixed on a copy, never on
-    the caller's matrix.
+    already canonical with no stored zeros is returned as is (a dataset's
+    :meth:`~repro.data.dataset.GroupBuyingDataset.observed_matrix` is
+    shared by every recommender over it); anything else is fixed on a
+    copy, never on the caller's matrix.
     """
     observed = observed.tocsr()
     if observed.has_canonical_format and np.all(observed.data):
@@ -134,14 +135,13 @@ class TopKRecommender:
         observed_matrix: Optional[sp.csr_matrix] = None,
         retriever: Optional[RetrievalIndex] = None,
     ) -> None:
-        """``dataset`` supplies the observed interactions to exclude; it is
-        required when ``exclude_observed`` is set.  ``batch_size`` bounds the
-        dense ``(users, items)`` score block held in memory at once.  A
-        precomputed ``observed_matrix`` (see
-        :func:`~repro.data.dataset.observed_item_matrix`) skips the rebuild —
-        the :class:`~repro.serving.catalog.ModelCatalog` shares one across
-        every model serving the same dataset.  Its truthy entries are the
-        observed items; explicit zeros (stored ``False``) mask nothing.
+        """``dataset`` supplies the observed interactions to exclude (its
+        cached :meth:`~repro.data.dataset.GroupBuyingDataset.observed_matrix`,
+        shared by every recommender over that dataset); it is required when
+        ``exclude_observed`` is set.  ``batch_size`` bounds the dense
+        ``(users, items)`` score block held in memory at once.  An
+        ``observed_matrix`` given instead names the observed items by its
+        truthy entries; explicit zeros (stored ``False``) mask nothing.
         ``retriever`` switches the recommender to shortlist-then-rescore
         mode (see the module docstring); it must index exactly the store's
         item catalog."""
@@ -164,11 +164,7 @@ class TopKRecommender:
         self._observed_matrix: Optional[sp.csr_matrix] = None
         if exclude_observed:
             if observed_matrix is None:
-                observed_matrix = observed_item_matrix(
-                    dataset.user_item_set(include_participants=True),
-                    dataset.num_users,
-                    dataset.num_items,
-                )
+                observed_matrix = dataset.observed_matrix()
             self._observed_matrix = _truthy_entries(observed_matrix)
 
     def recommend(self, users: np.ndarray, k: Optional[int] = None) -> TopKResult:

@@ -1,5 +1,7 @@
 """GroupBuyingDataset container."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,34 @@ class TestSubsetting:
         )
         assert rebuilt.num_behaviors == tiny_dataset.num_behaviors
         assert rebuilt.behaviors == tiny_dataset.behaviors
+
+
+class TestObservedMatrix:
+    def test_built_once(self, small_dataset):
+        assert small_dataset.observed_matrix() is small_dataset.observed_matrix()
+
+    def test_equals_a_build_over_the_interaction_sets(self, small_dataset):
+        matrix = small_dataset.observed_matrix()
+        fresh = observed_item_matrix(
+            small_dataset.user_item_set(include_participants=True),
+            small_dataset.num_users,
+            small_dataset.num_items,
+        )
+        assert matrix.shape == fresh.shape and matrix.dtype == fresh.dtype
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, part), getattr(fresh, part)), part
+        # Canonical with no stored zeros: recommenders take it as is.
+        assert matrix.has_canonical_format and matrix.data.all()
+
+    def test_left_out_of_the_pickle(self, tiny_dataset):
+        dataset = tiny_dataset.with_behaviors(tiny_dataset.behaviors)
+        size = len(pickle.dumps(dataset))
+        matrix = dataset.observed_matrix()
+        payload = pickle.dumps(dataset)
+        assert len(payload) == size
+        copy = pickle.loads(payload)
+        assert copy._observed_matrix_cache is None
+        assert (copy.observed_matrix() != matrix).nnz == 0
 
 
 class TestObservedPositions:

@@ -1,18 +1,22 @@
-"""Regression tests: the batched full-ranking path must match the per-user
-reference oracle exactly, and ``score_batch`` must match ``rank_scores``.
+"""Regression tests: the evaluator's full-ranking block path must match its
+per-user oracle exactly, the sampled protocol must rank as the per-user
+formula does, and ``score_batch`` must match ``rank_scores``.
 
-The batched evaluator replaces per-user Python loops with block matrix
-products; these tests pin the contract that the refactor changes *speed
-only* — metrics, ranks and scores are identical on seeded synthetic data
-for GBGCN and the baselines.
+The block path replaces per-user Python loops with block matrix products;
+these tests pin the contract that it changes *speed only* — metrics, ranks
+and scores are identical on seeded synthetic data for every servable model.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.eval import FullRankingEvaluator
+from repro.data import EvaluationCandidateSampler
+from repro.eval import FullRankingEvaluator, LeaveOneOutEvaluator, rank_of_positive
 from repro.models import SERVABLE_MODEL_NAMES, build_model
 from repro.models.base import RecommenderModel, item_rows
+from repro.nn import eval_mode
 from repro.persist import LAYOUT_DIR, load_model, save_model
 
 #: GBGCN plus at least two baselines (per the regression-test requirement);
@@ -33,38 +37,29 @@ PARITY_MODELS = [
 def models(small_split):
     return {
         name: build_model(name, small_split.train, rng=np.random.default_rng(17))
-        for name in PARITY_MODELS
+        for name in SERVABLE_MODEL_NAMES
     }
 
 
+def assert_same_result(result, reference):
+    assert np.array_equal(result.ranks, reference.ranks)
+    assert result.metrics == reference.metrics
+    assert result.num_users == reference.num_users
+
+
 class TestFullRankingParity:
-    @pytest.mark.parametrize("name", PARITY_MODELS)
+    @pytest.mark.parametrize("name", SERVABLE_MODEL_NAMES)
     def test_test_holdout_identical(self, small_split, models, name):
-        model = models[name]
-        evaluator = FullRankingEvaluator(small_split, batch_size=32)
-        batched = evaluator.evaluate_test(model)
-        reference = evaluator.evaluate_test_loop(model)
-        assert np.array_equal(batched.ranks, reference.ranks)
-        assert batched.metrics == reference.metrics
-        assert batched.num_users == reference.num_users
+        evaluator = LeaveOneOutEvaluator(small_split, num_negatives=None, batch_size=32)
+        assert_same_result(evaluator.evaluate_test(models[name]), evaluator.evaluate_test_loop(models[name]))
 
-    @pytest.mark.parametrize("name", ["GBGCN", "MF", "LightGCN"])
+    @pytest.mark.parametrize("name", SERVABLE_MODEL_NAMES)
     def test_validation_holdout_identical(self, small_split, models, name):
-        model = models[name]
-        evaluator = FullRankingEvaluator(small_split, batch_size=7)
-        batched = evaluator.evaluate_validation(model)
-        reference = evaluator.evaluate_validation_loop(model)
-        assert np.array_equal(batched.ranks, reference.ranks)
-        assert batched.metrics == reference.metrics
-
-    @pytest.mark.parametrize("name", ["GBGCN", "MF"])
-    def test_without_observed_exclusion(self, small_split, models, name):
-        model = models[name]
-        evaluator = FullRankingEvaluator(small_split, exclude_observed=False, batch_size=16)
-        batched = evaluator.evaluate_test(model)
-        reference = evaluator.evaluate_test_loop(model)
-        assert np.array_equal(batched.ranks, reference.ranks)
-        assert batched.metrics == reference.metrics
+        evaluator = LeaveOneOutEvaluator(small_split, num_negatives=None, batch_size=7)
+        # The oracle scores a split whose test holdout is the validation one.
+        as_test = dataclasses.replace(small_split, test=small_split.validation)
+        oracle = LeaveOneOutEvaluator(as_test, num_negatives=None)
+        assert_same_result(evaluator.evaluate_validation(models[name]), oracle.evaluate_test_loop(models[name]))
 
     def test_block_size_does_not_matter(self, small_split, models):
         model = models["GBGCN"]
@@ -75,16 +70,37 @@ class TestFullRankingParity:
         assert np.array_equal(ranks_per_size[0], ranks_per_size[1])
         assert np.array_equal(ranks_per_size[0], ranks_per_size[2])
 
-    def test_batch_size_none_selects_reference_path(self, small_split, models):
-        model = models["MF"]
-        evaluator = FullRankingEvaluator(small_split, batch_size=None)
-        result = evaluator.evaluate_test(model)
-        reference = evaluator.evaluate_test_loop(model)
-        assert np.array_equal(result.ranks, reference.ranks)
-
     def test_invalid_batch_size_rejected(self, small_split):
         with pytest.raises(ValueError):
             FullRankingEvaluator(small_split, batch_size=0)
+
+    @pytest.mark.parametrize("holdout", ["test", "validation"])
+    def test_full_ranking_evaluator_only_presets_num_negatives(self, small_split, models, holdout):
+        preset = getattr(FullRankingEvaluator(small_split), f"evaluate_{holdout}")(models["MF"])
+        general = getattr(LeaveOneOutEvaluator(small_split, num_negatives=None), f"evaluate_{holdout}")
+        assert_same_result(preset, general(models["MF"]))
+
+
+def strictly_higher_plus_ties(scores):
+    """The pessimistic rank of ``scores[0]``, counted the long way."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return int(np.sum(scores > scores[0]) + np.sum(scores == scores[0]) - 1)
+
+
+class TestSampledProtocol:
+    @pytest.mark.parametrize("name", SERVABLE_MODEL_NAMES)
+    def test_ranks_follow_the_per_user_formula(self, small_split, models, name):
+        model = models[name]
+        result = LeaveOneOutEvaluator(small_split, num_negatives=20, seed=3).evaluate_test(model)
+        sampler = EvaluationCandidateSampler(small_split.full, num_negatives=20, seed=3)
+        with eval_mode(model):
+            model.prepare_for_evaluation()
+            scores = [
+                model.rank_scores(user, sampler.candidates_for(user, small_split.test[user].item))
+                for user in sorted(small_split.test)
+            ]
+        assert result.ranks.tolist() == [rank_of_positive(row) for row in scores]
+        assert result.ranks.tolist() == [strictly_higher_plus_ties(row) for row in scores]
 
 
 class TestScoreBatchParity:

@@ -56,15 +56,6 @@ class TestFullRankingEvaluator:
         result = evaluator.evaluate_validation(mf_model)
         assert result.num_users == small_split.num_validation_users
 
-    def test_exclude_observed_flag(self, small_split, mf_model):
-        with_exclusion = FullRankingEvaluator(small_split, exclude_observed=True)
-        without_exclusion = FullRankingEvaluator(small_split, exclude_observed=False)
-        ranks_a = with_exclusion.evaluate_test(mf_model).ranks
-        ranks_b = without_exclusion.evaluate_test(mf_model).ranks
-        # Excluding observed items removes competitors, so ranks cannot worsen.
-        assert (ranks_a <= ranks_b).all()
-
-
 class TestTopKAndCoverage:
     def test_top_k_items_shape_and_order(self, small_split, mf_model):
         train = small_split.train

@@ -13,7 +13,7 @@ from repro.eval import (
 )
 from repro.models import MatrixFactorization
 from repro.optim import Adam
-from repro.training import build_batch_iterator
+from repro.training import Trainer, build_batch_iterator
 
 
 class TestSignificance:
@@ -48,8 +48,8 @@ class TestTiming:
         model = MatrixFactorization(small_split.train.num_users, small_split.train.num_items, 4,
                                     rng=np.random.default_rng(1))
         iterator = build_batch_iterator(model, small_split.train, batch_size=256, seed=0)
-        optimizer = Adam(model.parameters(), lr=0.01)
-        result = measure_time_efficiency(model, optimizer, iterator, small_evaluator, num_epochs=1)
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.01), iterator)
+        result = measure_time_efficiency(trainer, small_evaluator, num_epochs=1)
         assert result.train_seconds_per_epoch > 0
         assert result.test_seconds_per_epoch > 0
         assert result.model_name == "MF"
@@ -57,6 +57,6 @@ class TestTiming:
     def test_invalid_epoch_count(self, small_split, small_evaluator):
         model = MatrixFactorization(small_split.train.num_users, small_split.train.num_items, 4)
         iterator = build_batch_iterator(model, small_split.train, batch_size=256, seed=0)
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.01), iterator)
         with pytest.raises(ValueError):
-            measure_time_efficiency(model, Adam(model.parameters(), lr=0.01), iterator,
-                                    small_evaluator, num_epochs=0)
+            measure_time_efficiency(trainer, small_evaluator, num_epochs=0)

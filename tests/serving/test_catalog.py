@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import BeibeiLikeConfig, generate_dataset, leave_one_out_split
+from repro.eval import LeaveOneOutEvaluator
 from repro.graph import BipartiteGraph, FriendshipGraph, SharingGraph, build_hetero_graph
 from repro.models import ModelSettings, build_model
 from repro.persist import load_model, save_model
@@ -139,6 +140,16 @@ class TestLazyColdStartAndParity:
         first = catalog.recommender("mf")._observed_matrix
         second = catalog.recommender("gbgcn")._observed_matrix
         assert first is second
+
+    def test_recommenders_and_evaluators_read_the_datasets_matrix(self, catalog_dir, small_split):
+        catalog = ModelCatalog(catalog_dir, small_split.train, serving_dataset=small_split.full)
+        matrix = small_split.full.observed_matrix()
+        assert catalog.recommender("mf")._observed_matrix is matrix
+        assert catalog.recommender("gbgcn", k=3)._observed_matrix is matrix
+        for num_negatives in (None, 20):
+            evaluator = LeaveOneOutEvaluator(small_split, num_negatives=num_negatives)
+            assert evaluator._observed is matrix
+        assert LeaveOneOutEvaluator(small_split, num_negatives=20).candidate_sampler._observed is matrix
 
 
 class TestResidencyBudget:
@@ -392,6 +403,10 @@ class TestColdStartAfterLoadFails:
         with pytest.raises(CatalogError, match="no room for the index") as raised:
             catalog.store("gbgcn")
         assert isinstance(raised.value.__cause__, MemoryError)
+        # The gateway counts a failed request; the catalog counts nothing.
+        assert catalog.metrics.snapshot()["models"].get("gbgcn", {}).get("errors", 0) == 0
+        with pytest.raises(CatalogError, match="no room for the index"):
+            ServingGateway(catalog).top_k(np.asarray([0]), model="gbgcn")
         assert catalog.metrics.snapshot()["models"]["gbgcn"]["errors"] == 1
         assert catalog.resident_names == []
         assert catalog.stats.cold_starts == 0
@@ -405,6 +420,35 @@ class TestColdStartAfterLoadFails:
                 gateway.top_k(np.asarray([0]), model="gbgcn")
             assert len(failing_index) == min(call + 1, 3)
         assert catalog.metrics.snapshot()["models"]["gbgcn"]["breaker_opens"] == 1
+
+    def test_each_failed_request_counts_one_error(self, catalog_dir, small_split, failing_index):
+        catalog = ModelCatalog(catalog_dir, small_split.train, retrieval=RetrievalPolicy(num_cells=4, nprobe=2))
+        gateway = ServingGateway(catalog, policy=ResiliencePolicy(breaker_failure_threshold=3))
+        for _ in range(5):
+            with pytest.raises(CircuitOpenError):
+                gateway.top_k(np.asarray([0]), model="gbgcn")
+        # Three failed cold starts and two breaker rejections: five requests.
+        assert catalog.metrics.snapshot()["models"]["gbgcn"]["errors"] == 5
+
+    def test_a_request_a_fallback_serves_counts_no_error(self, catalog_dir, small_split, monkeypatch):
+        import repro.serving.catalog as catalog_module
+
+        build = catalog_module.build_index_for_model
+
+        def no_memory_for_gbgcn(model, **kwargs):
+            if model.name == "GBGCN":
+                raise MemoryError("no room for the index")
+            return build(model, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "build_index_for_model", no_memory_for_gbgcn)
+        catalog = ModelCatalog(catalog_dir, small_split.train, retrieval=RetrievalPolicy(num_cells=4, nprobe=2))
+        policy = ResiliencePolicy(breaker_failure_threshold=3, fallback_models=("mf",))
+        result = ServingGateway(catalog, policy=policy).top_k(np.asarray([0]), model="gbgcn")
+        assert result.items.shape == (1, catalog.default_k)
+        models = catalog.metrics.snapshot()["models"]
+        assert models["gbgcn"]["fallbacks_served"] == 1
+        assert models["gbgcn"]["errors"] == 0
+        assert models["mf"]["errors"] == 0
 
 
 class TestSharedGraph:

@@ -176,7 +176,7 @@ class TestThreadedChaos:
         assert snap["totals"]["requests"] == tally["ok"] + 1
         assert snap["totals"]["sheds"] == tally["shed"]
         assert snap["totals"]["deadline_exceeded"] == tally["deadline"]
-        assert snap["totals"]["errors"] >= tally["unavailable"]
+        assert snap["totals"]["errors"] == tally["unavailable"]
         assert plan.total_triggered() > 0, "the storm must actually have injected faults"
         # The stack still serves cleanly after the chaos (no wedged state).
         assert gateway.top_k(np.arange(6), k=K).items.shape == (6, K)
